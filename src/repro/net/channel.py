@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.latency import LatencyModel
-from repro.net.message import Message
+from repro.net.message import Message, MessageKind
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.util.validation import require_non_negative
+
+#: Delivery-event names per message kind, formatted once.
+_DELIVER_NAMES = {kind: f"deliver:{kind.value}" for kind in MessageKind}
 
 
 @dataclass
@@ -85,12 +88,12 @@ class Channel:
                 message, self.source, self.destination, flight
             )
             require_non_negative(flight, "controlled latency")
-        start = now
+        total_bytes = message.total_bytes
         if self._bandwidth is not None:
             # The link serializes messages: a message cannot start transmission
             # before the previous one's bytes have left the wire.
             start = max(now, self._next_free)
-            transmission = message.total_bytes / self._bandwidth
+            transmission = total_bytes / self._bandwidth
             self._next_free = start + transmission
             flight += (start - now) + transmission
         deliver_at = now + flight
@@ -111,10 +114,11 @@ class Channel:
             operation_tag=message.operation_tag,
             carried_clock=message.carried_clock,
         )
-        self.stats.messages += 1
-        self.stats.bytes += stamped.total_bytes
-        self.stats.total_latency += deliver_at - now
-        event = self._sim.timeout(deliver_at - now, value=stamped, name=f"deliver:{stamped.kind.value}")
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += total_bytes
+        stats.total_latency += deliver_at - now
+        event = self._sim.timeout(deliver_at - now, value=stamped, name=_DELIVER_NAMES[stamped.kind])
         return event, stamped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

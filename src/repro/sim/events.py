@@ -104,11 +104,6 @@ class Event:
         self.sim._enqueue_triggered(self)
         return self
 
-    # -- internal ------------------------------------------------------------
-
-    def _mark_processed(self) -> None:
-        self._processed = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
         return f"<{self.__class__.__name__} {self.name!r} {state}>"
@@ -124,23 +119,24 @@ class Timeout(Event):
         value: Any = None,
         name: Optional[str] = None,
     ) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"Timeout delay must be non-negative, got {delay}")
-        super().__init__(sim, name or f"Timeout({delay})")
-        self.delay = delay
+        # Event.__init__ inlined: one timeout is created per message delivery.
+        self.sim = sim
+        self.name = name or f"Timeout({delay})"
+        self.callbacks: List[Callable[["Event"], None]] = []
+        self._triggered = False
+        self._processed = False
+        self._ok: Optional[bool] = None
         self._value = value
-        sim._schedule_timeout(self, delay)
+        self.delay = delay
+        sim._push(sim._now + delay, self)
 
     def succeed(self, value: Any = None) -> "Event":  # noqa: D102
         raise SimulationError("Timeout events are triggered by the simulator only")
 
     def fail(self, exception: BaseException) -> "Event":  # noqa: D102
         raise SimulationError("Timeout events are triggered by the simulator only")
-
-    def _auto_trigger(self) -> None:
-        """Called by the simulator when the delay has elapsed."""
-        self._triggered = True
-        self._ok = True
 
 
 class _Condition(Event):

@@ -33,6 +33,10 @@ class ProcessState(enum.Enum):
     FAILED = "failed"
 
 
+#: States in which a process's generator can no longer run.
+_DEAD_STATES = (ProcessState.FINISHED, ProcessState.FAILED)
+
+
 class Process(Event):
     """Wraps a generator and steps it through the event loop.
 
@@ -80,7 +84,7 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished or failed."""
-        return self._state not in (ProcessState.FINISHED, ProcessState.FAILED)
+        return self._state not in _DEAD_STATES
 
     # -- control -------------------------------------------------------------
 
@@ -100,15 +104,16 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of *event*."""
-        if not self.is_alive:
+        if self._state in _DEAD_STATES:
             return
         self._waiting_on = None
         self._state = ProcessState.RUNNING
         try:
-            if event.ok:
-                target = self._generator.send(event.value)
+            # Only a triggered event resumes a process, so its outcome is set.
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(event.value)
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
@@ -141,7 +146,7 @@ class Process(Event):
             return
         self._state = ProcessState.WAITING
         self._waiting_on = target
-        if target.triggered:
+        if target._triggered:
             # Already fired: resume on the next simulator step at the same time.
             bounce = Event(self.sim, name=f"{self.name}:bounce")
             bounce.callbacks.append(lambda _ev: self._resume(target))

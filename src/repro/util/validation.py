@@ -36,21 +36,27 @@ def require_type(value: Any, types: Type | tuple[Type, ...], name: str) -> Any:
 
 
 def require_non_negative(value: float | int, name: str) -> float | int:
-    """Raise :class:`ValueError` unless ``value >= 0``."""
+    """Raise :class:`ValueError` unless ``value >= 0`` (NaN is rejected too)."""
+    kind = type(value)
+    if (kind is int or kind is float) and value >= 0:
+        return value
     require_type(value, (int, float), name)
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got bool")
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 
 
 def require_positive(value: float | int, name: str) -> float | int:
-    """Raise :class:`ValueError` unless ``value > 0``."""
+    """Raise :class:`ValueError` unless ``value > 0`` (NaN is rejected too)."""
+    kind = type(value)
+    if (kind is int or kind is float) and value > 0:
+        return value
     require_type(value, (int, float), name)
     if isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got bool")
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
 
@@ -71,6 +77,8 @@ def require_rank(rank: int, world_size: int, name: str = "rank") -> int:
     Ranks in the global address space are integers in ``[0, world_size)``,
     mirroring MPI/UPC conventions.
     """
+    if type(rank) is int and type(world_size) is int and 0 <= rank < world_size:
+        return rank
     require_type(rank, int, name)
     if isinstance(rank, bool):
         raise TypeError(f"{name} must be an int, got bool")

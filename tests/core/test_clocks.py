@@ -181,3 +181,61 @@ class TestMatrixClock:
     def test_rank_must_be_valid(self):
         with pytest.raises(ValueError):
             MatrixClock(rank=3, size=3)
+
+
+class TestEntryTypes:
+    """Entries must be integers: nothing is truncated or parsed on the way in."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1.7, 2], ["3", 4], [True, 0], [1, 2.0], np.array([1.5, 2.0]), np.array([True, False])],
+        ids=["float", "str", "bool", "integral-float", "float-array", "bool-array"],
+    )
+    def test_vector_clock_rejects_non_integer_entries(self, entries):
+        with pytest.raises(TypeError):
+            VectorClock(entries)
+
+    def test_from_entries_rejects_floats(self):
+        with pytest.raises(TypeError):
+            VectorClock.from_entries([0.5, 1])
+
+    def test_observe_vector_rejects_floats_without_merging(self):
+        clock = MatrixClock(rank=0, size=3)
+        with pytest.raises(TypeError):
+            clock.observe_vector([0.9, 2.5, 1])
+        assert clock.matrix.tolist() == [[0, 0, 0]] * 3
+
+    def test_merge_rejects_floats(self):
+        clock = VectorClock.zeros(2)
+        with pytest.raises(TypeError):
+            clock.merge_in_place([0.9, 2.5])
+        with pytest.raises(TypeError):
+            clock.merged(["1", "2"])
+        assert clock.frozen() == (0, 0)
+
+    def test_comparisons_reject_floats(self):
+        with pytest.raises(TypeError):
+            VectorClock.zeros(2).happens_before([0.5, 1.5])
+
+    def test_equality_with_a_float_list_is_false(self):
+        assert VectorClock.from_entries([1, 2]) != [1.0, 2.0]
+
+    def test_numpy_integer_entries_are_accepted_as_int(self):
+        clock = VectorClock([np.int64(3), np.int32(4), 5])
+        assert clock.frozen() == (3, 4, 5)
+        assert all(type(value) is int for value in clock.frozen())
+        from_array = VectorClock(np.array([1, 2], dtype=np.uint8))
+        assert from_array.frozen() == (1, 2)
+        assert all(type(value) is int for value in from_array.frozen())
+
+    def test_nested_entries_rejected(self):
+        with pytest.raises(TypeError):
+            VectorClock([[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            VectorClock(np.zeros((2, 2), dtype=np.int64))
+
+    def test_public_views_are_int64_arrays(self):
+        clock = MatrixClock(rank=1, size=2)
+        clock.tick()
+        assert clock.matrix.dtype == np.int64
+        assert clock.principal().entries.dtype == np.int64

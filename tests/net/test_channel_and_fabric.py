@@ -132,3 +132,18 @@ class TestFabric:
         _sim, fabric = self.make_fabric(world_size=2)
         with pytest.raises(ValueError):
             fabric.send(MessageKind.PUT_DATA, 0, 5)
+
+
+class _NaNLatency(ConstantLatency):
+    def latency(self, message, hops=1):
+        return float("nan")
+
+
+class TestNaNLatency:
+    def test_transmit_rejects_a_nan_flight_time(self):
+        sim = Simulator()
+        channel = Channel(sim, 0, 1, _NaNLatency())
+        with pytest.raises(ValueError, match="latency must be non-negative, got nan"):
+            channel.transmit(make_message())
+        assert channel.stats.messages == 0
+        assert sim.peek() == float("inf")

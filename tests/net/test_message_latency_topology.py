@@ -54,6 +54,20 @@ class TestLatencyModels:
         again = UniformLatency(RandomStreams(seed=5), low=1.0, high=2.0)
         assert [again.latency(make_message()) for _ in range(50)] == draws
 
+    @pytest.mark.parametrize("low, high, hops", [(1.0, 2.0, 1), (0.5, 1.5, 3), (0, 7, 2), (0.1, 0.1, 1)])
+    def test_uniform_draws_equal_the_numpy_uniform_reference(self, low, high, hops):
+        model = UniformLatency(RandomStreams(seed=9), low=low, high=high)
+        reference = RandomStreams(seed=9).stream("net.latency")
+        for _ in range(200):
+            expected = 0.0
+            for _ in range(hops):
+                expected += reference.uniform(low, high)
+            assert model.latency(make_message(), hops=hops) == expected
+
+    def test_uniform_rejects_infinite_bounds(self):
+        with pytest.raises(ValueError, match="finite"):
+            UniformLatency(RandomStreams(0), low=0.0, high=float("inf"))
+
     def test_uniform_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
             UniformLatency(RandomStreams(0), low=2.0, high=1.0)

@@ -167,3 +167,24 @@ class TestEngine:
 
         assert trace(7) == trace(7)
         assert trace(7) != trace(8)
+
+
+class TestNaNTimes:
+    """A NaN delay would fire at ``now == nan`` between finite events."""
+
+    def test_timeout_rejects_nan(self):
+        with pytest.raises(ValueError, match="delay must be non-negative, got nan"):
+            Simulator().timeout(float("nan"))
+
+    def test_call_after_rejects_nan(self):
+        with pytest.raises(ValueError, match="delay must be non-negative, got nan"):
+            Simulator().call_after(float("nan"), lambda: None)
+
+    def test_timeout_constructor_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Timeout(Simulator(), float("nan"))
+
+    def test_infinite_delay_is_allowed(self):
+        sim = Simulator()
+        sim.timeout(float("inf"))
+        assert sim.peek() == float("inf")

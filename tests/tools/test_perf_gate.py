@@ -101,6 +101,33 @@ class TestCompareTrees:
         regressions, _ = perf_gate.compare_trees(fresh, BASELINE)
         assert any(f.missing for f in regressions)
 
+    def test_interpreter_call_counts_are_gated_at_zero_tolerance(self):
+        baseline = {
+            "workloads": {
+                "random-access": {
+                    "py_calls": {"core": 1000, "sim": 2000},
+                    "py_calls_per_event": {"core": 5.5},
+                    "seed": 3,
+                }
+            }
+        }
+        assert perf_gate.is_gated_cost("workloads.random-access.py_calls.core")
+        assert perf_gate.is_gated_cost("workloads.random-access.py_calls_per_event.core")
+        assert not perf_gate.is_gated_cost("workloads.random-access.seed")
+        fresh = copy.deepcopy(baseline)
+        fresh["workloads"]["random-access"]["py_calls"]["core"] = 1001
+        fresh["workloads"]["random-access"]["py_calls_per_event"]["core"] = 5.5001
+        regressions, _ = perf_gate.compare_trees(fresh, baseline, tolerance=0.0)
+        assert sorted(f.path for f in regressions) == [
+            "workloads.random-access.py_calls.core",
+            "workloads.random-access.py_calls_per_event.core",
+        ]
+        fewer = copy.deepcopy(baseline)
+        fewer["workloads"]["random-access"]["py_calls"]["sim"] = 1999
+        regressions, improvements = perf_gate.compare_trees(fewer, baseline, tolerance=0.0)
+        assert regressions == []
+        assert [f.path for f in improvements] == ["workloads.random-access.py_calls.sim"]
+
     def test_new_fresh_metrics_pass_until_baselined(self):
         fresh = copy.deepcopy(BASELINE)
         fresh["workloads"]["ring"]["delta"]["completion_events"] = 999

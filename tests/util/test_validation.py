@@ -1,5 +1,8 @@
 """Unit tests for the argument-validation helpers."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.util.validation import (
@@ -99,3 +102,73 @@ class TestRequireUnique:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             require_unique([1, 2, 1], "xs")
+
+
+# The validators' full contract, exception type and message alike.  The
+# numeric validators and require_rank have fast accept paths for plain
+# ``int``/``float`` inputs; every input below must take the slow path and
+# fail exactly as it always has (NaN aside, which used to pass).
+NAN = float("nan")
+REJECTED = [
+    # (validator, args, exception type, exact message)
+    (require_rank, (True, 4, "r"), TypeError, "r must be an int, got bool"),
+    (require_rank, (False, 4, "r"), TypeError, "r must be an int, got bool"),
+    (require_rank, (np.int64(1), 4, "r"), TypeError, f"r must be int, got int64: {np.int64(1)!r}"),
+    (require_rank, (1.0, 4, "r"), TypeError, "r must be int, got float: 1.0"),
+    (require_rank, (-1, 4, "r"), ValueError, "r must be in [0, 4), got -1"),
+    (require_rank, (4, 4, "r"), ValueError, "r must be in [0, 4), got 4"),
+    (require_rank, (1, 4.0, "r"), TypeError, "world_size must be int, got float: 4.0"),
+    (require_rank, (1, np.int64(4), "r"), TypeError,
+     f"world_size must be int, got int64: {np.int64(4)!r}"),
+    (require_rank, (0, 0, "r"), ValueError, "world_size must be positive, got 0"),
+    (require_rank, (0, -3, "r"), ValueError, "world_size must be positive, got -3"),
+    (require_non_negative, (True, "n"), TypeError, "n must be a number, got bool"),
+    (require_non_negative, (np.int64(3), "n"), TypeError,
+     f"n must be int or float, got int64: {np.int64(3)!r}"),
+    (require_non_negative, ("1", "n"), TypeError, "n must be int or float, got str: '1'"),
+    (require_non_negative, (-1, "n"), ValueError, "n must be non-negative, got -1"),
+    (require_non_negative, (-0.5, "n"), ValueError, "n must be non-negative, got -0.5"),
+    (require_non_negative, (np.float64(-1.0), "n"), ValueError,
+     f"n must be non-negative, got {np.float64(-1.0)!r}"),
+    (require_non_negative, (NAN, "n"), ValueError, "n must be non-negative, got nan"),
+    (require_non_negative, (-math.inf, "n"), ValueError, "n must be non-negative, got -inf"),
+    (require_positive, (False, "p"), TypeError, "p must be a number, got bool"),
+    (require_positive, (np.int64(3), "p"), TypeError,
+     f"p must be int or float, got int64: {np.int64(3)!r}"),
+    (require_positive, (None, "p"), TypeError, "p must be int or float, got NoneType: None"),
+    (require_positive, (0, "p"), ValueError, "p must be positive, got 0"),
+    (require_positive, (-2.5, "p"), ValueError, "p must be positive, got -2.5"),
+    (require_positive, (np.float64(0.0), "p"), ValueError,
+     f"p must be positive, got {np.float64(0.0)!r}"),
+    (require_positive, (NAN, "p"), ValueError, "p must be positive, got nan"),
+]
+
+ACCEPTED = [
+    (require_rank, (0, 1, "r")),
+    (require_rank, (3, 4, "r")),
+    (require_non_negative, (0, "n")),
+    (require_non_negative, (0.0, "n")),
+    (require_non_negative, (math.inf, "n")),
+    (require_non_negative, (np.float64(2.5), "n")),
+    (require_positive, (1, "p")),
+    (require_positive, (1e-300, "p")),
+    (require_positive, (math.inf, "p")),
+    (require_positive, (np.float64(0.5), "p")),
+]
+
+
+def _case_id(case):
+    return f"{case[0].__name__}{case[1][:-1]!r}"
+
+
+class TestValidatorContract:
+    @pytest.mark.parametrize("validator, args, error, message", REJECTED, ids=map(_case_id, REJECTED))
+    def test_rejections_keep_type_and_message(self, validator, args, error, message):
+        with pytest.raises(Exception) as raised:
+            validator(*args)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("validator, args", ACCEPTED, ids=map(_case_id, ACCEPTED))
+    def test_accepted_values_are_returned_unchanged(self, validator, args):
+        assert validator(*args) is args[0]

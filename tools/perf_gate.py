@@ -19,7 +19,8 @@ Semantics:
 
 * leaves whose key names a **cost** (``*messages*``, ``*bytes*``,
   ``*_per_op``, ``*per_message*``, ``round_trips``, ``*joins*``, ``*checks*``,
-  ``*compares*``, ``*events*``, ``races``, ``*instruments*``) are gated:
+  ``*compares*``, ``*events*``, ``races``, ``*instruments*``, ``*calls*``)
+  are gated:
   ``fresh > baseline * (1 + tolerance)`` is a regression (a zero baseline
   tolerates no growth at all);
 * leaves whose key names a **benefit** (``*elided*``, ``*saved*``,
@@ -46,6 +47,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 #: Key substrings marking a leaf as a gated cost metric (higher is worse).
 #: ``sim_time`` gates end-to-end simulated run time (``total_sim_time``,
 #: ``path_sim_time``) — the metric the critical-path benchmarks exist for.
+#: ``calls`` gates interpreter frames (``py_calls``, ``py_calls_per_event``),
+#: the deterministic stand-in for host speed.
 COST_TOKENS = (
     "messages",
     "bytes",
@@ -59,6 +62,7 @@ COST_TOKENS = (
     "races",
     "instruments",
     "sim_time",
+    "calls",
 )
 
 #: Key substrings marking a leaf as a benefit metric (higher is better) —
