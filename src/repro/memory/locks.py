@@ -24,7 +24,7 @@ from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, SimulationError
 from repro.util.ids import IdAllocator
-from repro.util.validation import require_type
+from repro.util.validation import require_index, require_type
 
 
 class LockState(enum.Enum):
@@ -62,9 +62,8 @@ class MemoryLockTable:
     """Per-address FIFO locks for one rank's public memory segment."""
 
     def __init__(self, sim: Simulator, rank: int) -> None:
-        require_type(rank, int, "rank")
         self._sim = sim
-        self._rank = rank
+        self._rank = require_index(rank, "rank")
         self._holders: Dict[GlobalAddress, LockRequest] = {}
         self._queues: Dict[GlobalAddress, List[LockRequest]] = {}
         self._ids = IdAllocator(f"lock-P{rank}")

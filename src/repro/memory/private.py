@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional
 
-from repro.util.validation import require_type
+from repro.util.validation import require_index, require_type
 
 
 class PrivateMemory:
@@ -23,10 +23,7 @@ class PrivateMemory:
     """
 
     def __init__(self, rank: int) -> None:
-        require_type(rank, int, "rank")
-        if rank < 0:
-            raise ValueError(f"rank must be non-negative, got {rank}")
-        self._rank = rank
+        self._rank = require_index(rank, "rank")
         self._cells: Dict[str, Any] = {}
         self._reads = 0
         self._writes = 0

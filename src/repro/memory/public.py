@@ -2,11 +2,16 @@
 
 The public memory of a rank is the part of its physical memory that remote
 NICs may read and write without involving the local CPU or OS (paper, Section
-III).  We model it as an array of :class:`MemoryCell` objects.  Each cell
-stores a value plus the per-datum metadata the race-detection algorithm needs:
-the general-purpose access clock ``V`` and the write clock ``W`` (paper,
+III).  We model it as ``size`` addressable cells, each a :class:`MemoryCell`
+that stores a value plus the per-datum metadata the race-detection algorithm
+needs: the general-purpose access clock ``V`` and the write clock ``W`` (paper,
 Section IV-A), along with simple access counters used by the overhead
 benchmarks (experiment E11).
+
+A cell is materialized on first touch: the segment keeps only the cells a run
+has addressed, so building and summing a segment costs what the run touches,
+not what it could touch.  An untouched cell reads as a fresh
+:class:`MemoryCell` would (value ``None``, no clocks, zero counters).
 
 The clocks are stored *with the data they protect*, on the rank that owns the
 data — exactly as the paper prescribes ("a clock must be used for each shared
@@ -22,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.core.clocks import VectorClock
 from repro.memory.address import GlobalAddress
 from repro.memory.region import MemoryRegion
-from repro.util.validation import require_positive, require_type
+from repro.util.validation import require_index, require_positive, require_type
 
 
 @dataclass
@@ -54,14 +59,12 @@ class PublicMemory:
     """The remotely accessible memory segment of one rank."""
 
     def __init__(self, rank: int, size: int) -> None:
-        require_type(rank, int, "rank")
-        if rank < 0:
-            raise ValueError(f"rank must be non-negative, got {rank}")
+        self._rank = require_index(rank, "rank")
         require_type(size, int, "size")
         require_positive(size, "size")
-        self._rank = rank
         self._size = size
-        self._cells: List[MemoryCell] = [MemoryCell() for _ in range(size)]
+        #: The touched cells, by offset (see the module docstring).
+        self._cells: Dict[int, MemoryCell] = {}
         self._regions: Dict[str, MemoryRegion] = {}
         self._next_free = 0
 
@@ -140,8 +143,16 @@ class PublicMemory:
         return address.offset
 
     def cell(self, address: GlobalAddress) -> MemoryCell:
-        """Return the cell object at *address* (metadata included)."""
-        return self._cells[self._check_address(address)]
+        """Return the cell object at *address* (metadata included).
+
+        The cell is created on first touch; later calls return the same object.
+        """
+        offset = self._check_address(address)
+        try:
+            return self._cells[offset]
+        except KeyError:
+            cell = self._cells[offset] = MemoryCell()
+            return cell
 
     def read(self, address: GlobalAddress) -> Any:
         """Read the value stored at *address* and bump the read counter."""
@@ -157,18 +168,19 @@ class PublicMemory:
         cell.last_writer = writer
 
     def peek(self, address: GlobalAddress) -> Any:
-        """Read without touching access counters (for assertions in tests)."""
-        return self.cell(address).value
+        """Read without touching access counters or materializing the cell."""
+        cell = self._cells.get(self._check_address(address))
+        return None if cell is None else cell.value
 
     # -- accounting ---------------------------------------------------------------
 
     def total_reads(self) -> int:
         """Sum of read counters over all cells."""
-        return sum(c.read_count for c in self._cells)
+        return sum(c.read_count for c in self._cells.values())
 
     def total_writes(self) -> int:
         """Sum of write counters over all cells."""
-        return sum(c.write_count for c in self._cells)
+        return sum(c.write_count for c in self._cells.values())
 
     def clock_storage_entries(self) -> int:
         """Total number of vector-clock entries held by this segment.
@@ -177,11 +189,14 @@ class PublicMemory:
         about: clock storage grows with the number of shared data and with
         the number of processes.
         """
-        return sum(c.clock_storage_entries() for c in self._cells)
+        return sum(c.clock_storage_entries() for c in self._cells.values())
 
     def snapshot_values(self) -> List[Any]:
         """Return the raw values of every cell (for whole-memory assertions)."""
-        return [c.value for c in self._cells]
+        values: List[Any] = [None] * self._size
+        for offset, cell in self._cells.items():
+            values[offset] = cell.value
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -414,10 +414,9 @@ class ClockTransportStats:
 
             registry = MetricsRegistry()
         labels = {} if rank is None else {"rank": rank}
-        self._counters = {
-            name: registry.counter(f"clock_transport.{name}", **labels)
-            for name in CLOCK_TRANSPORT_FIELDS
-        }
+        self._counters = registry.counters(
+            "clock_transport.", CLOCK_TRANSPORT_FIELDS, **labels
+        )
 
     round_trips = _transport_field("round_trips")
     piggybacked_messages = _transport_field("piggybacked_messages")
@@ -446,7 +445,7 @@ class ClockTransportStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Flat dictionary for reports and the benchmark JSON."""
-        return {name: getattr(self, name) for name in CLOCK_TRANSPORT_FIELDS}
+        return {name: counter.value for name, counter in self._counters.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClockTransportStats):

@@ -17,7 +17,7 @@ from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message, MessageKind
 from repro.net.topology import Topology
 from repro.net.ud_transport import UdChannel
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -39,6 +39,11 @@ def _category(kind: MessageKind) -> str:
     return "other"
 
 
+#: ``(kind, label value, category)`` of every kind, resolved once rather
+#: than per fabric.
+_KINDS = tuple((kind, kind.value, _category(kind)) for kind in MessageKind)
+
+
 class FabricStats:
     """Message/byte counters split by traffic category.
 
@@ -54,28 +59,25 @@ class FabricStats:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         registry = registry if registry is not None else MetricsRegistry()
-        self._messages = {
-            category: registry.counter("fabric.messages", category=category)
-            for category in _CATEGORIES
-        }
-        self._bytes = {
-            category: registry.counter("fabric.bytes", category=category)
-            for category in _CATEGORIES
-        }
-        self._by_kind = {
-            kind: registry.counter("fabric.messages_by_kind", kind=kind.value)
-            for kind in MessageKind
-        }
-        # Per kind, the three counters one message bumps, resolved once
-        # instead of classifying every message.
-        self._counters_of_kind = {
-            kind: (
-                self._messages[_category(kind)],
-                self._bytes[_category(kind)],
-                self._by_kind[kind],
+        per_category = {
+            category: registry.counters(
+                "fabric.", ("messages", "bytes"), category=category
             )
-            for kind in MessageKind
+            for category in _CATEGORIES
         }
+        self._messages = {c: pair["messages"] for c, pair in per_category.items()}
+        self._bytes = {c: pair["bytes"] for c, pair in per_category.items()}
+        # Per kind, also the three counters one message bumps, resolved once
+        # instead of classifying every message.
+        self._by_kind: Dict[MessageKind, Counter] = {}
+        self._counters_of_kind: Dict[MessageKind, Tuple[Counter, Counter, Counter]] = {}
+        for kind, value, category in _KINDS:
+            by_kind = self._by_kind[kind] = registry.counter(
+                "fabric.messages_by_kind", kind=value
+            )
+            self._counters_of_kind[kind] = (
+                self._messages[category], self._bytes[category], by_kind
+            )
 
     # -- the historical attribute surface ------------------------------------------
 

@@ -275,10 +275,9 @@ class NIC:
         #: Observability bundle shared by everything on this simulator; the
         #: issue/service tallies live in its metrics registry.
         self._obs = Observability.of(sim)
-        self._counters = {
-            name: self._obs.metrics.counter(f"nic.{name}", rank=rank)
-            for name in NIC_COUNTER_FIELDS
-        }
+        self._counters = self._obs.metrics.counters(
+            "nic.", NIC_COUNTER_FIELDS, rank=rank
+        )
         #: The clock-transport policy (roundtrip vs piggyback) shared by every
         #: instrumented path through this NIC.
         self.clock_transport = ClockTransport(self)

@@ -19,13 +19,16 @@ Design constraints, in priority order:
 
 Instrument identity is ``name{label=value,...}`` with labels sorted by key,
 the same spelling used as snapshot keys, e.g.
-``fabric.messages{category=data}`` or ``nic.puts_issued{rank=2}``.
+``fabric.messages{category=data}`` or ``nic.puts_issued{rank=2}``.  One
+identity belongs to one instrument type: asking for a counter's identity as a
+gauge (or any other pair of types) raises :class:`ValueError`, since both
+would claim the same snapshot key.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 #: Version of the exported metrics-file layout (the ``export()`` wrapper).
 #: Bumped on incompatible changes so loaders fail loudly instead of
@@ -48,7 +51,7 @@ BUCKET_LAYOUTS: Dict[str, Tuple[float, ...]] = {
 def _label_suffix(labels: Sequence[Tuple[str, str]]) -> str:
     if not labels:
         return ""
-    inner = ",".join(f"{key}={value}" for key, value in labels)
+    inner = ",".join([f"{key}={value}" for key, value in labels])
     return "{" + inner + "}"
 
 
@@ -60,21 +63,24 @@ class Counter:
     directly, and ``merge`` needs read-modify-write.
     """
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "key", "value")
 
-    def __init__(self, name: str, labels: Sequence[Tuple[str, str]] = ()) -> None:
+    def __init__(
+        self,
+        name: str,
+        labels: Sequence[Tuple[str, str]] = (),
+        key: Optional[str] = None,
+    ) -> None:
         self.name = name
         self.labels = tuple(labels)
+        #: Snapshot key: ``name{label=value,...}`` (*key*, when given, must
+        #: already be that spelling).
+        self.key = name + _label_suffix(self.labels) if key is None else key
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
         """Add *amount* (default 1)."""
         self.value += amount
-
-    @property
-    def key(self) -> str:
-        """Snapshot key: ``name{label=value,...}``."""
-        return self.name + _label_suffix(self.labels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.key}={self.value}>"
@@ -83,11 +89,12 @@ class Counter:
 class Gauge:
     """A value that can go up and down (queue depth, outstanding requests)."""
 
-    __slots__ = ("name", "labels", "value", "high_watermark")
+    __slots__ = ("name", "labels", "key", "value", "high_watermark")
 
     def __init__(self, name: str, labels: Sequence[Tuple[str, str]] = ()) -> None:
         self.name = name
         self.labels = tuple(labels)
+        self.key = name + _label_suffix(self.labels)
         self.value = 0
         self.high_watermark = 0
 
@@ -103,10 +110,6 @@ class Gauge:
     def dec(self, amount: int = 1) -> None:
         self.value -= amount
 
-    @property
-    def key(self) -> str:
-        return self.name + _label_suffix(self.labels)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gauge {self.key}={self.value} high={self.high_watermark}>"
 
@@ -118,7 +121,7 @@ class Histogram:
     values above the last bound land in the implicit overflow bucket.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "total")
+    __slots__ = ("name", "labels", "key", "bounds", "bucket_counts", "count", "total")
 
     def __init__(
         self,
@@ -128,6 +131,7 @@ class Histogram:
     ) -> None:
         self.name = name
         self.labels = tuple(labels)
+        self.key = name + _label_suffix(self.labels)
         self.bounds: Tuple[float, ...] = BUCKET_LAYOUTS[layout]
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
@@ -170,10 +174,6 @@ class Histogram:
                 return lower + (upper - lower) * fraction
         return self.bounds[-1]
 
-    @property
-    def key(self) -> str:
-        return self.name + _label_suffix(self.labels)
-
     def as_dict(self) -> Dict[str, object]:
         """Deterministic flat summary of this histogram."""
         buckets: Dict[str, int] = {}
@@ -209,14 +209,43 @@ class MetricsRegistry:
         key = self._key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
+            if key in self._gauges or key in self._histograms:
+                self._clash(key, "counter")
             instrument = self._counters[key] = Counter(name, key[1])
         return instrument
+
+    def counters(
+        self, prefix: str, fields: Iterable[str], **labels: object
+    ) -> Dict[str, Counter]:
+        """``{field: counter(prefix + field, **labels)}`` for every field.
+
+        The bulk spelling of :meth:`counter` for stats views that own one
+        counter per field: the labels are formatted once for all fields, and
+        each counter is created with its snapshot key already spelled.
+        """
+        _, label_pairs = self._key("", labels)
+        suffix = _label_suffix(label_pairs)
+        counters = self._counters
+        other_types = self._gauges or self._histograms
+        out: Dict[str, Counter] = {}
+        for field in fields:
+            name = prefix + field
+            key = (name, label_pairs)
+            instrument = counters.get(key)
+            if instrument is None:
+                if other_types and (key in self._gauges or key in self._histograms):
+                    self._clash(key, "counter")
+                instrument = counters[key] = Counter(name, label_pairs, name + suffix)
+            out[field] = instrument
+        return out
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """The gauge for ``name`` + *labels*, created on first use."""
         key = self._key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
+            if key in self._counters or key in self._histograms:
+                self._clash(key, "gauge")
             instrument = self._gauges[key] = Gauge(name, key[1])
         return instrument
 
@@ -227,8 +256,24 @@ class MetricsRegistry:
         key = self._key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
+            if key in self._counters or key in self._gauges:
+                self._clash(key, "histogram")
             instrument = self._histograms[key] = Histogram(name, key[1], layout)
         return instrument
+
+    def _clash(
+        self, key: Tuple[str, Tuple[Tuple[str, str], ...]], wanted: str
+    ) -> NoReturn:
+        """Refuse to give *key* a second instrument type: both would claim
+        the same snapshot key, and one value would silently hide the other."""
+        held = "counter" if key in self._counters else (
+            "gauge" if key in self._gauges else "histogram"
+        )
+        name, labels = key
+        raise ValueError(
+            f"metric {name}{_label_suffix(labels)} is already a {held}; "
+            f"it cannot also be a {wanted}"
+        )
 
     # -- snapshots -----------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro.memory.locks import MemoryLockTable
 from repro.memory.private import PrivateMemory
 from repro.memory.public import PublicMemory
 from repro.net.clock_transport import (
+    CLOCK_TRANSPORT_FIELDS,
     ClockTransportStats,
     validate_clock_transport,
     validate_clock_wire,
@@ -778,6 +779,12 @@ class DSMRuntime:
         clock_entries = self.detector.clock_storage_entries() + sum(
             memory.clock_storage_entries() for memory in self.public_memories
         )
+        # Summed straight from the per-rank views: a ClockTransportStats total
+        # would build a private registry only to be flattened again.
+        clock_transport_totals = dict.fromkeys(CLOCK_TRANSPORT_FIELDS, 0)
+        for nic in self.nics:
+            for name, value in nic.clock_transport.stats.as_dict().items():
+                clock_transport_totals[name] += value
         return RunResult(
             config=self.config,
             races=self.report,
@@ -790,7 +797,7 @@ class DSMRuntime:
             final_shared_values=final_shared,
             per_rank_private=per_rank_private,
             clock_transport=self.config.clock_transport,
-            clock_transport_stats=self.clock_transport_stats().as_dict(),
+            clock_transport_stats=clock_transport_totals,
             clock_wire=self.config.clock_wire,
             cq_moderation=self.config.cq_moderation,
             cq_moderation_timer=self.config.cq_moderation_timer,

@@ -71,6 +71,22 @@ def require_in_range(
     return value
 
 
+def require_index(value: int, name: str) -> int:
+    """Raise unless *value* is a non-negative ``int`` (``bool`` is rejected).
+
+    For ranks and offsets known before any world size they could be checked
+    against (a memory segment's owner, for instance).
+    """
+    if type(value) is int and value >= 0:
+        return value
+    require_type(value, int, name)
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got bool")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def require_rank(rank: int, world_size: int, name: str = "rank") -> int:
     """Validate a process rank against the world size.
 

@@ -85,6 +85,14 @@ class TestErrors:
         with pytest.raises(ValueError):
             table.acquire(GlobalAddress(0, 0), 2)
 
+    def test_bool_rank_rejected(self):
+        with pytest.raises(TypeError, match="rank must be an int, got bool"):
+            MemoryLockTable(Simulator(), True)
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank must be non-negative"):
+            MemoryLockTable(Simulator(), -1)
+
     def test_assert_quiescent(self):
         sim, table = setup_table()
         request = table.acquire(GlobalAddress(1, 0), 0)

@@ -43,6 +43,10 @@ class TestPrivateMemory:
         with pytest.raises(ValueError):
             PrivateMemory(-1)
 
+    def test_bool_rank_rejected(self):
+        with pytest.raises(TypeError, match="rank must be an int, got bool"):
+            PrivateMemory(True)
+
 
 class TestPublicMemory:
     def test_register_region_and_resolve_cells(self):
@@ -112,6 +116,61 @@ class TestPublicMemory:
         memory = PublicMemory(0, 3)
         memory.write(GlobalAddress(0, 1), "b")
         assert memory.snapshot_values() == [None, "b", None]
+
+    def test_bool_rank_rejected(self):
+        with pytest.raises(TypeError, match="rank must be an int, got bool"):
+            PublicMemory(True, 4)
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank must be non-negative"):
+            PublicMemory(-1, 4)
+
+
+class TestSparsePublicMemory:
+    """Cells are materialized on first touch; untouched ones read as fresh."""
+
+    def test_cell_is_created_once(self):
+        memory = PublicMemory(0, 8)
+        address = GlobalAddress(0, 5)
+        assert memory.cell(address) is memory.cell(address)
+        memory.write(address, "v")
+        assert memory.cell(address).value == "v"
+
+    def test_untouched_offsets_read_as_none_without_clocks(self):
+        memory = PublicMemory(0, 8)
+        assert memory.peek(GlobalAddress(0, 3)) is None
+        assert memory.snapshot_values() == [None] * 8
+        assert memory.clock_storage_entries() == 0
+        assert memory.total_reads() == 0 and memory.total_writes() == 0
+
+    def test_peek_does_not_materialize_a_cell(self):
+        memory = PublicMemory(0, 8)
+        address = GlobalAddress(0, 3)
+        memory.peek(address)
+        memory.snapshot_values()
+        assert not memory._cells
+
+    def test_snapshot_has_one_value_per_offset(self):
+        memory = PublicMemory(0, 256)
+        memory.write(GlobalAddress(0, 255), "last")
+        values = memory.snapshot_values()
+        assert len(values) == 256
+        assert values[255] == "last" and values[:255] == [None] * 255
+
+    def test_untouched_out_of_range_offset_raises(self):
+        memory = PublicMemory(0, 8)
+        for access in (memory.peek, memory.cell, memory.read):
+            with pytest.raises(IndexError, match="offset 8 out of bounds"):
+                access(GlobalAddress(0, 8))
+
+    def test_totals_sum_only_touched_cells(self):
+        memory = PublicMemory(0, 64)
+        memory.write(GlobalAddress(0, 1), 1)
+        memory.read(GlobalAddress(0, 1))
+        memory.read(GlobalAddress(0, 40))
+        memory.cell(GlobalAddress(0, 2)).access_clock = VectorClock.zeros(5)
+        assert memory.total_reads() == 2 and memory.total_writes() == 1
+        assert memory.clock_storage_entries() == 5
 
 
 class TestMemoryCell:

@@ -122,6 +122,78 @@ class TestMetricsRegistry:
         assert sum(histogram.bucket_counts) == 0
 
 
+class TestBulkCounters:
+    FIELDS = ("puts", "gets", "rnr_retries")
+
+    def test_returns_the_counters_counter_would(self):
+        registry = MetricsRegistry()
+        bulk = registry.counters("nic.", self.FIELDS, rank=2)
+        assert list(bulk) == list(self.FIELDS)
+        for field in self.FIELDS:
+            assert bulk[field] is registry.counter(f"nic.{field}", rank=2)
+
+    def test_returns_counters_created_one_at_a_time(self):
+        registry = MetricsRegistry()
+        singles = {f: registry.counter(f"nic.{f}", rank=2) for f in self.FIELDS}
+        bulk = registry.counters("nic.", self.FIELDS, rank=2)
+        assert all(bulk[f] is singles[f] for f in self.FIELDS)
+
+    def test_snapshot_keys_match_the_single_spelling(self):
+        bulk_registry, single_registry = MetricsRegistry(), MetricsRegistry()
+        for field in self.FIELDS:
+            single_registry.counter(f"t.{field}", rank=1, kind="x").inc()
+        for counter in bulk_registry.counters("t.", self.FIELDS, kind="x", rank=1).values():
+            counter.inc()
+        assert bulk_registry.snapshot() == single_registry.snapshot()
+        assert "t.puts{kind=x,rank=1}" in bulk_registry.snapshot()
+
+    def test_without_labels_keys_are_bare_names(self):
+        registry = MetricsRegistry()
+        bulk = registry.counters("fabric.", ("messages",))
+        assert bulk["messages"].key == "fabric.messages"
+        assert bulk["messages"] is registry.counter("fabric.messages")
+
+
+class TestInstrumentTypeClash:
+    def test_counter_then_gauge_is_refused(self):
+        registry = MetricsRegistry()
+        registry.counter("a").inc(3)
+        with pytest.raises(ValueError, match="a is already a counter"):
+            registry.gauge("a")
+        assert registry.snapshot() == {"a": 3}
+
+    def test_every_pair_of_types_is_refused(self):
+        makers = {
+            "counter": lambda r: r.counter("m", rank=0),
+            "gauge": lambda r: r.gauge("m", rank=0),
+            "histogram": lambda r: r.histogram("m", rank=0),
+        }
+        for held, make_held in makers.items():
+            for wanted, make_wanted in makers.items():
+                registry = MetricsRegistry()
+                make_held(registry)
+                if wanted == held:
+                    make_wanted(registry)
+                    continue
+                with pytest.raises(ValueError, match=f"already a {held}"):
+                    make_wanted(registry)
+
+    def test_bulk_counters_are_refused_over_a_gauge(self):
+        registry = MetricsRegistry()
+        registry.gauge("nic.gets", rank=0)
+        with pytest.raises(ValueError, match="already a gauge"):
+            registry.counters("nic.", ("puts", "gets"), rank=0)
+
+    def test_other_labels_do_not_clash(self):
+        registry = MetricsRegistry()
+        registry.counter("a", rank=0)
+        registry.gauge("a", rank=1).set(1)
+        assert registry.snapshot() == {
+            "a{rank=0}": 0,
+            "a{rank=1}": {"high_watermark": 1, "value": 1},
+        }
+
+
 class TestHistogramQuantiles:
     def test_quantile_interpolates_inside_a_bucket(self):
         from repro.obs.metrics import Histogram

@@ -8,6 +8,7 @@ import pytest
 from repro.util.validation import (
     require,
     require_in_range,
+    require_index,
     require_non_negative,
     require_positive,
     require_rank,
@@ -141,6 +142,10 @@ REJECTED = [
     (require_positive, (np.float64(0.0), "p"), ValueError,
      f"p must be positive, got {np.float64(0.0)!r}"),
     (require_positive, (NAN, "p"), ValueError, "p must be positive, got nan"),
+    (require_index, (True, "i"), TypeError, "i must be an int, got bool"),
+    (require_index, (np.int64(1), "i"), TypeError, f"i must be int, got int64: {np.int64(1)!r}"),
+    (require_index, (1.0, "i"), TypeError, "i must be int, got float: 1.0"),
+    (require_index, (-1, "i"), ValueError, "i must be non-negative, got -1"),
 ]
 
 ACCEPTED = [
@@ -154,6 +159,8 @@ ACCEPTED = [
     (require_positive, (1e-300, "p")),
     (require_positive, (math.inf, "p")),
     (require_positive, (np.float64(0.5), "p")),
+    (require_index, (0, "i")),
+    (require_index, (7, "i")),
 ]
 
 
