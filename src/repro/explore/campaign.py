@@ -44,6 +44,7 @@ from repro.net.clock_transport import (
 )
 from repro.net.flow_control import FLOW_CONTROL_MODES
 from repro.net.ud_transport import TRANSPORT_MODES, validate_transport
+from repro.runtime.runtime import RUNTIME_KNOBS
 from repro.verbs.completion_queue import validate_cq_moderation_timer
 
 
@@ -183,10 +184,10 @@ def parse_cq_moderation_timer(text: Optional[str]):
     """Parse the CLI's ``"COUNT,USEC"`` form into a validated pair.
 
     ``None`` means "leave the pattern's own configuration alone" and
-    ``"off"`` forces the timer off — both map through unchanged for
-    :meth:`~repro.runtime.runtime.DSMRuntime.set_cq_moderation_timer`'s
-    ``None`` convention to handle.  The campaign config keeps the string
-    (picklable, hashable) and parses at configure time.
+    ``"off"`` forces the timer off (the configure hook passes ``None`` on to
+    :meth:`~repro.runtime.runtime.DSMRuntime.configure` for it).  The
+    campaign config keeps the string (picklable, hashable) and parses at
+    configure time.
     """
     if text is None:
         return None
@@ -239,28 +240,27 @@ def _resolve_pattern(corpus: str, name: str):
     raise ValueError(f"corpus {corpus!r} has no pattern named {name!r}")
 
 
-def _knob_configure(
-    treat_rmw_pairs_as_ordered: Optional[bool],
-    clock_transport: Optional[str] = None,
-    clock_wire: Optional[str] = None,
-    cq_moderation: Optional[bool] = None,
-    detector_epochs: Optional[str] = None,
-    flow_control: Optional[str] = None,
-    cq_moderation_timer: Optional[str] = None,
-    clock_wire_resync: Optional[str] = None,
-    transport: Optional[str] = None,
-):
-    if (
-        treat_rmw_pairs_as_ordered is None
-        and clock_transport is None
-        and clock_wire is None
-        and cq_moderation is None
-        and detector_epochs is None
-        and flow_control is None
-        and cq_moderation_timer is None
-        and clock_wire_resync is None
-        and transport is None
-    ):
+def _knob_configure(config: CampaignConfig):
+    """The configure hook applying *config*'s knob overrides, or ``None``.
+
+    Only knobs that are not ``None`` reach the built runtime, through its one
+    pre-run path :meth:`~repro.runtime.runtime.DSMRuntime.configure`; the
+    pattern's own configuration decides the rest.
+    """
+    knobs = {
+        name: getattr(config, name)
+        for name in RUNTIME_KNOBS
+        if getattr(config, name) is not None
+    }
+    if "cq_moderation_timer" in knobs:
+        parsed = parse_cq_moderation_timer(knobs["cq_moderation_timer"])
+        knobs["cq_moderation_timer"] = None if parsed == "off" else parsed
+    if "clock_wire_resync" in knobs:
+        knobs["clock_wire_resync"] = parse_clock_wire_resync(
+            knobs["clock_wire_resync"]
+        )
+    treat_rmw_pairs_as_ordered = config.treat_rmw_pairs_as_ordered
+    if treat_rmw_pairs_as_ordered is None and not knobs:
         return None
 
     def configure(runtime) -> None:
@@ -268,25 +268,8 @@ def _knob_configure(
             runtime.detector.config.treat_rmw_pairs_as_ordered = bool(
                 treat_rmw_pairs_as_ordered
             )
-        if clock_transport is not None:
-            runtime.set_clock_transport(clock_transport)
-        if clock_wire is not None:
-            runtime.set_clock_wire(clock_wire)
-        if cq_moderation is not None:
-            runtime.set_cq_moderation(cq_moderation)
-        if detector_epochs is not None:
-            runtime.set_detector_epochs(detector_epochs)
-        if flow_control is not None:
-            runtime.set_flow_control(flow_control)
-        if cq_moderation_timer is not None:
-            parsed = parse_cq_moderation_timer(cq_moderation_timer)
-            runtime.set_cq_moderation_timer(None if parsed == "off" else parsed)
-        if clock_wire_resync is not None:
-            runtime.set_clock_wire_resync(
-                parse_clock_wire_resync(clock_wire_resync)
-            )
-        if transport is not None:
-            runtime.set_transport(transport)
+        if knobs:
+            runtime.configure(**knobs)
 
     return configure
 
@@ -298,17 +281,7 @@ def _explore_pattern_task(task: Dict[str, object]) -> Dict[str, object]:
     explorer = Explorer(
         pattern.build,
         seed=config.seed,
-        configure=_knob_configure(
-            config.treat_rmw_pairs_as_ordered,
-            config.clock_transport,
-            config.clock_wire,
-            config.cq_moderation,
-            config.detector_epochs,
-            config.flow_control,
-            config.cq_moderation_timer,
-            config.clock_wire_resync,
-            config.transport,
-        ),
+        configure=_knob_configure(config),
         critical_path=config.critical_path,
     )
     if config.strategy == "systematic":
@@ -606,17 +579,7 @@ def minimize_campaign_artifacts(
 
     from repro.explore.minimize import minimize_racing_schedule, save_artifact
 
-    configure = _knob_configure(
-        config.treat_rmw_pairs_as_ordered,
-        config.clock_transport,
-        config.clock_wire,
-        config.cq_moderation,
-        config.detector_epochs,
-        config.flow_control,
-        config.cq_moderation_timer,
-        config.clock_wire_resync,
-        config.transport,
-    )
+    configure = _knob_configure(config)
     if patterns is None:
         selected = [p for p in _resolve_corpus(corpus) if p.racy]
     else:

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.core.detector import DualClockRaceDetector
 from repro.net.message import MessageKind
@@ -460,14 +460,21 @@ class ClockTransportStats:
 class ClockTransport:
     """One rank's clock-movement policy, consulted by NIC and verbs layers.
 
-    The mode is read from the owning NIC's config on every decision — that
-    is what lets :meth:`~repro.runtime.runtime.DSMRuntime.set_clock_transport`
-    switch an already-built runtime (the campaign runner's configure hook).
-    Always switch through that method (or ``RuntimeConfig.clock_transport``
-    at construction): it also keeps the detector's per-check control
-    accounting in step, which a bare ``NICConfig.clock_transport``
-    assignment would not.
+    The mode, wire format and resync cadence are plain attributes that
+    :meth:`configure` sets before any traffic flows —
+    :meth:`~repro.runtime.runtime.DSMRuntime.configure` does it for every
+    rank at once from ``RuntimeConfig.clock_transport``, ``clock_wire`` and
+    ``clock_wire_resync``, the one home of their defaults.
     """
+
+    #: True under the ``"piggyback"`` mode (clocks ride on the data
+    #: messages), false under ``"roundtrip"``.
+    piggyback: bool
+    #: The clock wire format (``full``/``delta``/``truncated``).
+    wire_format: str
+    #: Messages between resync frames, or ``"adaptive"`` when the cadence
+    #: self-tunes per channel.
+    resync: Union[int, str]
 
     def __init__(self, nic: "NIC") -> None:
         from repro.obs.observability import Observability
@@ -482,22 +489,11 @@ class ClockTransport:
         self._encoders: Dict[int, ClockWireEncoder] = {}
         self._decoders: Dict[int, ClockWireDecoder] = {}
 
-    # -- mode ---------------------------------------------------------------------
-
-    @property
-    def mode(self) -> str:
-        """The active transport mode (``"roundtrip"`` or ``"piggyback"``)."""
-        return validate_clock_transport(self._nic.config.clock_transport)
-
-    @property
-    def piggyback(self) -> bool:
-        """True when clocks ride on the data messages."""
-        return self.mode == "piggyback"
-
-    @property
-    def wire_format(self) -> str:
-        """The active clock wire format (``full``/``delta``/``truncated``)."""
-        return validate_clock_wire(self._nic.config.clock_wire)
+    def configure(self, mode: str, wire_format: str, resync) -> None:
+        """Set the (already validated) mode, wire format and resync cadence."""
+        self.piggyback = mode == "piggyback"
+        self.wire_format = wire_format
+        self.resync = resync
 
     def _active(self) -> bool:
         detector = self._nic.detector
@@ -508,11 +504,6 @@ class ClockTransport:
         return self._nic._clock_bytes()
 
     # -- wire format (per-destination codecs) ----------------------------------------
-
-    @property
-    def adaptive_resync(self) -> bool:
-        """True when the resync cadence self-tunes per channel."""
-        return self._nic.config.clock_wire_resync == "adaptive"
 
     def _resync_decider(self, destination: int):
         """The controller hook deciding whether a due resync is deferred."""
@@ -529,20 +520,12 @@ class ClockTransport:
 
     def _codec(self, destination: int) -> Tuple[ClockWireEncoder, ClockWireDecoder]:
         encoder = self._encoders.get(destination)
-        adaptive = self.adaptive_resync
-        if (
-            encoder is None
-            or encoder.wire_format != self.wire_format
-            or encoder.adaptive != adaptive
-        ):
+        if encoder is None:
+            adaptive = self.resync == "adaptive"
             encoder = ClockWireEncoder(
                 self._nic.detector.world_size,
                 self.wire_format,
-                resync_period=(
-                    ADAPTIVE_RESYNC_START
-                    if adaptive
-                    else self._nic.config.clock_wire_resync
-                ),
+                resync_period=ADAPTIVE_RESYNC_START if adaptive else self.resync,
                 adaptive=adaptive,
                 resync_decider=(
                     self._resync_decider(destination) if adaptive else None
@@ -722,4 +705,5 @@ class ClockTransport:
             self.stats.completion_clock_bytes += self.clock_bytes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ClockTransport P{self._nic.rank} mode={self.mode}>"
+        mode = "piggyback" if self.piggyback else "roundtrip"
+        return f"<ClockTransport P{self._nic.rank} mode={mode}>"

@@ -44,7 +44,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.core.clocks import VectorClock
@@ -56,7 +55,7 @@ from repro.memory.public import PublicMemory
 from repro.net.clock_transport import WIRE_TAG_BYTES, ClockTransport
 from repro.net.fabric import Fabric
 from repro.net.message import MessageKind
-from repro.net.ud_transport import UdDeliveryExceeded, UdEndpoint, validate_transport
+from repro.net.ud_transport import UdDeliveryExceeded, UdEndpoint
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
 from repro.util.ids import IdAllocator
@@ -116,44 +115,9 @@ class NICConfig:
         one CLOCK_FETCH/CLOCK_UPDATE round trip per instrumented remote
         access (Algorithm 5's clock traffic).  When false, clocks are
         assumed piggybacked on the data messages for free (the legacy
-        accounting shortcut); the ``"piggyback"`` transport below models
-        that piggybacking explicitly and ignores this knob.
-    clock_transport:
-        How causal clocks travel with the data (see
-        :mod:`repro.net.clock_transport`): ``"roundtrip"`` charges
-        Algorithm 5's explicit clock messages per access, ``"piggyback"``
-        rides the clock on every data message and batches origin-side joins
-        per queue-pair drain.  The two modes produce byte-identical
-        detector verdicts; only the traffic differs.  Under the detector's
-        epoch fast path the carried-clock checks these paths run also
-        return a ``datum_epoch`` annotation on the post-check datum clock
-        (``AccessCheckResult.datum_epoch``), which lets the queue pair's
-        drain chain O(1) domination probes across a burst and amortize
-        the service-clock join to one per burst instead of one per access.
-    clock_wire:
-        How a clock is *encoded* when it crosses the wire (see
-        :mod:`repro.net.clock_transport`): ``"full"`` ships the whole
-        vector (``world_size × 8`` bytes), ``"delta"`` /``"truncated"``
-        ship only the components that changed since the channel's last
-        clock (as increments or absolute values), with a full resync every
-        ``clock_wire_resync`` messages.  All formats decode to the exact
-        clock, so verdicts never depend on this knob; only bytes do.
-    clock_wire_resync:
-        Messages between full-clock resync frames on each directed channel
-        under the sparse wire formats, or ``"adaptive"`` to let each
-        channel tune its own cadence from the realized sparse/full byte
-        ratio (see :data:`~repro.net.clock_transport.ADAPTIVE_RESYNC_START`).
-    transport:
-        The service level clock-carrying data messages ride on (see
-        :mod:`repro.net.ud_transport`): ``"rc"`` (reliable connected — per
-        pair FIFO, no loss, the default and the paper's implicit model) or
-        ``"ud"`` (unreliable datagrams — each data message becomes a
-        sequence-numbered datagram the fabric may drop, duplicate or
-        reorder, with receiver-driven clock resync repairing sequence
-        gaps).  Verdicts never depend on this knob — only traffic, latency
-        and resync costs do.  Lock and roundtrip clock control traffic
-        stays RC in either mode, as on real fabrics where connection
-        management rides a reliable QP.
+        accounting shortcut); the ``"piggyback"`` clock transport
+        (``RuntimeConfig.clock_transport``) models that piggybacking
+        explicitly and ignores this knob.
     ud_retransmit_timeout:
         Simulated time a UD sender waits for a datagram it cannot see
         delivered before retransmitting (also the receiver's re-request
@@ -169,10 +133,6 @@ class NICConfig:
     lock_remote_accesses: bool = True
     charge_lock_messages: bool = True
     charge_detection_messages: bool = True
-    clock_transport: str = "roundtrip"
-    clock_wire: str = "full"
-    clock_wire_resync: Union[int, str] = 64
-    transport: str = "rc"
     ud_retransmit_timeout: float = 8.0
     ud_max_retransmits: int = 16
     cell_bytes: int = 8
@@ -246,6 +206,12 @@ class RemoteOperationResult:
 class NIC:
     """One rank's RDMA-capable network interface."""
 
+    #: The service level clock-carrying data messages ride on (``"rc"`` or
+    #: ``"ud"``).  Set, with the clock transport's modes, by
+    #: ``DSMRuntime.configure`` from ``RuntimeConfig.transport`` before any
+    #: traffic flows.
+    transport: str
+
     def __init__(
         self,
         sim: Simulator,
@@ -270,7 +236,6 @@ class NIC:
         self.locks = locks
         self.detector = detector
         self.config = config or NICConfig()
-        validate_transport(self.config.transport)
         self.recorder = recorder
         #: Observability bundle shared by everything on this simulator; the
         #: issue/service tallies live in its metrics registry.
@@ -282,7 +247,7 @@ class NIC:
         #: instrumented path through this NIC.
         self.clock_transport = ClockTransport(self)
         #: UD datagram state: per-destination tx sequences + resync history,
-        #: per-source rx view (only consulted when ``config.transport == "ud"``).
+        #: per-source rx view (only consulted when ``transport == "ud"``).
         self.ud = UdEndpoint(rank)
         self._peers: Dict[int, "NIC"] = {rank: self}
         self._tags = IdAllocator(f"op-P{rank}")
@@ -465,7 +430,7 @@ class NIC:
         Returns ``(transmissions, carried, clock_wire_bytes)`` for the
         transmission that was finally delivered.
         """
-        if self.config.transport != "ud":
+        if self.transport != "ud":
             carried, clock_wire_bytes = self.clock_transport.ride(
                 clock_provider(), destination, request=request
             )

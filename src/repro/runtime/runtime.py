@@ -42,14 +42,34 @@ from repro.sim.engine import Simulator
 from repro.trace.events import TraceSummary
 from repro.trace.recorder import TraceRecorder
 from repro.util.logging import SimLogger
-from repro.util.validation import require_positive
+from repro.util.validation import require_positive, require_rank
 from repro.verbs.completion_queue import validate_cq_moderation_timer
 from repro.verbs.context import VerbsContext
+
+#: The :class:`RuntimeConfig` fields :meth:`DSMRuntime.configure` sets: how
+#: clocks and messages move, never how the detector judges a given schedule.
+#: The differential tests show seven of them leaving every verdict
+#: byte-identical; ``transport="ud"`` can reorder deliveries and so change
+#: the schedule itself (see :attr:`RuntimeConfig.transport`).
+RUNTIME_KNOBS = (
+    "clock_transport",
+    "clock_wire",
+    "clock_wire_resync",
+    "transport",
+    "detector_epochs",
+    "cq_moderation",
+    "cq_moderation_timer",
+    "flow_control",
+)
 
 
 @dataclass
 class RuntimeConfig:
     """Configuration of one simulated DSM machine.
+
+    The eight fields named in :data:`RUNTIME_KNOBS` shape traffic, timing and
+    accounting, not the detector's judgement of a schedule; they are the only
+    fields :meth:`DSMRuntime.configure` may set on an already-built runtime.
 
     Attributes
     ----------
@@ -71,52 +91,51 @@ class RuntimeConfig:
         The race-detector configuration (set ``detector.enabled = False`` for
         an uninstrumented run).
     nic:
-        NIC behaviour (lock and clock message charging).
+        NIC behaviour (lock and clock message charging, UD retransmission).
     clock_transport:
         How causal clocks travel with verbs traffic (see
-        :mod:`repro.net.clock_transport`): ``"roundtrip"`` charges
-        Algorithm 5's explicit CLOCK_FETCH/CLOCK_UPDATE pair per
+        :mod:`repro.net.clock_transport`): ``"roundtrip"`` (the default)
+        charges Algorithm 5's explicit CLOCK_FETCH/CLOCK_UPDATE pair per
         instrumented remote access; ``"piggyback"`` rides the clock on the
         data messages themselves (no dedicated clock traffic, a vector
         clock of extra payload per data message) and batches origin-side
         clock joins per queue-pair drain.  Detector verdicts are identical
-        in both modes; only traffic and join counts differ.  ``None`` (the
-        default) follows ``nic.clock_transport`` — effectively
-        ``"roundtrip"`` unless the NIC config names a mode; naming
-        *conflicting* modes here and on the NIC config is an error.
+        in both modes; only traffic and join counts differ.
     clock_wire:
         How each clock is encoded when it crosses the wire (see
-        :mod:`repro.net.clock_transport`): ``"full"`` ships the whole
-        vector per rider (``world_size × 8`` bytes — linear in world size),
-        ``"delta"`` ships per-channel increments of the components that
-        changed since the last clock on that channel, ``"truncated"``
+        :mod:`repro.net.clock_transport`): ``"full"`` (the default) ships the
+        whole vector per rider (``world_size × 8`` bytes — linear in world
+        size), ``"delta"`` ships per-channel increments of the components
+        that changed since the last clock on that channel, ``"truncated"``
         ships their absolute values; both sparse formats resync with a
         full frame every ``clock_wire_resync`` messages.  Every format
         decodes to the exact clock (verified on every frame), so detector
-        verdicts never depend on this knob — only bytes do.  ``None``
-        (the default) follows ``nic.clock_wire``; naming *conflicting*
-        formats here and on the NIC config is an error.
+        verdicts never depend on this knob — only bytes do.
     clock_wire_resync:
         Channel messages between full-clock resync frames under the sparse
-        wire formats: a positive count for a fixed cadence, or
+        wire formats: a positive count for a fixed cadence (default 64), or
         ``"adaptive"`` to let each directed channel tune its own period
         from the realized sparse/full byte ratio (doubling when sparse
         frames stay cheap, halving when they bloat; see
         :mod:`repro.net.clock_transport`).  Every format decodes to the
         exact clock regardless of cadence, so verdicts never depend on
-        this knob.  ``None`` keeps ``nic.clock_wire_resync``.
+        this knob.
     transport:
         The service level clock-carrying data messages ride on (see
-        :mod:`repro.net.ud_transport`): ``"rc"`` (reliable connected —
-        per-pair FIFO delivery, no loss; the paper's implicit model) or
-        ``"ud"`` (unreliable datagrams — each data message becomes a
-        sequence-numbered datagram the explored schedule may drop,
-        duplicate or reorder, with receiver-driven clock resync repairing
-        sequence gaps so a stale clock is never stamped).  Detector
-        verdicts never depend on this knob — only traffic, latency and
-        resync accounting do.  ``None`` (the default) follows
-        ``nic.transport``; naming *conflicting* modes here and on the NIC
-        config is an error.
+        :mod:`repro.net.ud_transport`): ``"rc"`` (the default; reliable
+        connected — per-pair FIFO delivery, no loss; the paper's implicit
+        model) or ``"ud"`` (unreliable datagrams — each data message
+        becomes a sequence-numbered datagram the explored schedule may
+        drop, duplicate or reorder, with receiver-driven clock resync
+        repairing sequence gaps so a stale clock is never stamped).
+        Lock and roundtrip clock control traffic stays RC in either mode,
+        as on real fabrics where connection management rides a reliable
+        QP.  The detector judges a given schedule the same either way, but
+        a UD datagram is not ordered behind its pair's earlier RC messages,
+        so latency jitter can deliver it first and change the schedule —
+        and with it the verdict (at seed 0 the ``stencil-no-barriers``
+        corpus pattern does on the full wire, ``rmw-work-stealing`` on a
+        piggybacked delta wire).
     detector_epochs:
         The FastTrack-style epoch fast path of the detector (see
         ``DetectorConfig.epochs``): ``"on"`` replaces full O(n) vector
@@ -209,10 +228,10 @@ class RuntimeConfig:
     latency_scale: float = 1.0
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     nic: NICConfig = field(default_factory=NICConfig)
-    clock_transport: Optional[str] = None
-    clock_wire: Optional[str] = None
-    clock_wire_resync: Optional[Union[int, str]] = None
-    transport: Optional[str] = None
+    clock_transport: str = "roundtrip"
+    clock_wire: str = "full"
+    clock_wire_resync: Union[int, str] = 64
+    transport: str = "rc"
     detector_epochs: Optional[str] = None
     cq_moderation: bool = False
     cq_moderation_timer: Optional[Any] = None
@@ -236,7 +255,12 @@ class RuntimeConfig:
 
 @dataclass
 class RunResult:
-    """Everything a completed run exposes for inspection."""
+    """Everything a completed run exposes for inspection.
+
+    ``config`` is the runtime's own resolved configuration: the knobs of
+    :data:`RUNTIME_KNOBS` the run used are read from it
+    (``result.config.clock_transport``, ...).
+    """
 
     config: RuntimeConfig
     races: RaceReport
@@ -248,26 +272,10 @@ class RunResult:
     clock_storage_entries: int
     final_shared_values: Dict[str, List[Any]]
     per_rank_private: Dict[int, Dict[str, Any]]
-    #: Which clock transport the run used (``"roundtrip"`` / ``"piggyback"``).
-    clock_transport: str = "roundtrip"
     #: Whole-machine clock-transport accounting (round trips charged,
     #: piggybacked clocks, wire frames, completion events, retirement joins
     #: performed/elided).
     clock_transport_stats: Dict[str, int] = field(default_factory=dict)
-    #: Which clock wire format sized the riders (``full``/``delta``/``truncated``).
-    clock_wire: str = "full"
-    #: Whether completion coalescing (one CQE per drain burst) was active.
-    cq_moderation: bool = False
-    #: The ``(cq_count, cq_usec)`` moderation timer, if one was active.
-    cq_moderation_timer: Optional[Any] = None
-    #: Which two-sided admission protocol the run used (``"rnr"``/``"credit"``).
-    flow_control: str = "rnr"
-    #: The clock-wire resync cadence (message count or ``"adaptive"``).
-    clock_wire_resync: Union[int, str] = 64
-    #: Which service level data messages rode on (``"rc"``/``"ud"``).
-    transport: str = "rc"
-    #: Whether the detector's epoch fast path was active (``"on"``/``"off"``).
-    detector_epochs: str = "on"
     #: Canonical metric snapshot of the run (``sim.obs.metrics``): every
     #: counter/gauge/histogram keyed ``name{label=value,...}``, sorted.
     metrics: Dict[str, Any] = field(default_factory=dict)
@@ -299,7 +307,15 @@ class DSMRuntime:
 
     def __init__(self, config: Optional[RuntimeConfig] = None, **overrides: Any) -> None:
         base = config or RuntimeConfig()
-        self.config = base.with_overrides(**overrides) if overrides else base
+        if overrides:
+            base = base.with_overrides(**overrides)
+        # Private copies: whatever the runtime resolves (knob defaults, the
+        # epoch mode, piggyback's zero control messages) never reaches the
+        # caller's config objects, which may be shared by other runtimes.
+        self.config = replace(base, detector=replace(base.detector))
+        #: The per-check control-message figure as given; the roundtrip
+        #: transport books it, the piggyback transport books none.
+        self._roundtrip_control_messages = base.detector.control_messages_per_check
         require_positive(self.config.world_size, "world_size")
 
         self.logger = SimLogger(echo=self.config.echo_log)
@@ -355,9 +371,6 @@ class DSMRuntime:
                 rnr_backoff=self.config.verbs_rnr_backoff,
                 rnr_retry_limit=self.config.verbs_rnr_retry_limit,
                 backpressure=self.config.verbs_backpressure,
-                cq_moderation=self.config.cq_moderation,
-                cq_moderation_timer=self.config.cq_moderation_timer,
-                flow_control=self.config.flow_control,
             )
             for rank in range(self.config.world_size)
         ]
@@ -377,237 +390,58 @@ class DSMRuntime:
         self._apis: Dict[int, ProcessAPI] = {}
         self._initial_values: Dict[GlobalAddress, Any] = {}
         self._ran = False
-        self._control_messages_before_piggyback: Optional[int] = None
-        # Resolve the two places the transport can be named.  ``None`` on
-        # the runtime knob means "follow the NIC config"; naming two
-        # *different* modes explicitly is a configuration error, not a
-        # precedence puzzle.
-        if self.config.clock_transport is None:
-            mode = validate_clock_transport(self.config.nic.clock_transport)
-        else:
-            mode = validate_clock_transport(self.config.clock_transport)
-            if (
-                self.config.nic.clock_transport != "roundtrip"
-                and self.config.nic.clock_transport != mode
-            ):
-                raise ValueError(
-                    f"conflicting clock transports: RuntimeConfig says {mode!r} "
-                    f"but NICConfig says {self.config.nic.clock_transport!r}"
-                )
-        # Route through set_clock_transport so the detector's per-check
-        # control accounting matches the mode however it was requested —
-        # except for plain roundtrip, where there is nothing to adjust and
-        # a user-supplied DetectorConfig must be left exactly as given.
-        if mode != "roundtrip":
-            self.set_clock_transport(mode)
-        else:
-            self.config.clock_transport = mode
-        # Resolve the clock wire format the same way: ``None`` follows the
-        # NIC config; naming two different formats explicitly is an error.
-        if self.config.clock_wire is None:
-            wire = validate_clock_wire(self.config.nic.clock_wire)
-        else:
-            wire = validate_clock_wire(self.config.clock_wire)
-            if (
-                self.config.nic.clock_wire != "full"
-                and self.config.nic.clock_wire != wire
-            ):
-                raise ValueError(
-                    f"conflicting clock wire formats: RuntimeConfig says {wire!r} "
-                    f"but NICConfig says {self.config.nic.clock_wire!r}"
-                )
-        self.set_clock_wire(wire)
-        # Resolve the transport service level the same way: ``None``
-        # follows the NIC config; naming two different modes is an error.
-        if self.config.transport is None:
-            service = validate_transport(self.config.nic.transport)
-        else:
-            service = validate_transport(self.config.transport)
-            if (
-                self.config.nic.transport != "rc"
-                and self.config.nic.transport != service
-            ):
-                raise ValueError(
-                    f"conflicting transports: RuntimeConfig says {service!r} "
-                    f"but NICConfig says {self.config.nic.transport!r}"
-                )
-        self.set_transport(service)
-        if self.config.clock_wire_resync is not None:
-            self.set_clock_wire_resync(self.config.clock_wire_resync)
-        else:
-            self.config.clock_wire_resync = validate_clock_wire_resync(
-                self.config.nic.clock_wire_resync
-            )
-        # Validate the control-plane knobs even when they arrived through
-        # the config rather than a set_* call.
-        validate_flow_control(self.config.flow_control)
-        self.config.cq_moderation_timer = validate_cq_moderation_timer(
-            self.config.cq_moderation_timer
+        self.configure()
+
+    # -- runtime knobs ------------------------------------------------------------------
+
+    def configure(self, **knobs: Any) -> None:
+        """Set any of the :data:`RUNTIME_KNOBS` on the built machine (before :meth:`run`).
+
+        Each knob takes the values of the :class:`RuntimeConfig` field of the
+        same name.  With no arguments the config's own values are applied,
+        which is what construction does.  The resolved values land on
+        :attr:`config`, and so on ``RunResult.config``.  No knob here
+        changes how the detector judges a schedule, which is what lets the
+        campaign runner's configure hook sweep them on runtimes a corpus
+        pattern has already built and programmed.
+        """
+        if self._ran:
+            raise RuntimeError("configure() must be called before run()")
+        unknown = knobs.keys() - RUNTIME_KNOBS
+        if unknown:
+            raise TypeError(f"configure() got unknown knobs {sorted(unknown)}")
+        # Resolve on a copy, so a rejected value leaves the runtime as it was.
+        config = replace(self.config, **knobs) if knobs else self.config
+        mode = validate_clock_transport(config.clock_transport)
+        wire = validate_clock_wire(config.clock_wire)
+        resync = validate_clock_wire_resync(config.clock_wire_resync)
+        transport = validate_transport(config.transport)
+        flow_control = validate_flow_control(config.flow_control)
+        timer = config.cq_moderation_timer = validate_cq_moderation_timer(
+            config.cq_moderation_timer
         )
-        # Resolve the detector epoch fast path: an explicit runtime knob
-        # wins, else the REPRO_DETECTOR_EPOCHS environment variable (the CI
-        # matrix leg), else whatever the DetectorConfig already says.
-        if self.config.detector_epochs is None:
-            env_epochs = os.environ.get("REPRO_DETECTOR_EPOCHS")
-            if env_epochs is not None:
-                self.set_detector_epochs(env_epochs)
-            else:
-                self.config.detector_epochs = (
-                    "on" if self.config.detector.epochs else "off"
-                )
-        else:
-            self.set_detector_epochs(self.config.detector_epochs)
-
-    # -- clock transport ----------------------------------------------------------------
-
-    def set_clock_transport(self, mode: str) -> None:
-        """Select how clocks travel with verbs traffic (before :meth:`run`).
-
-        ``"roundtrip"`` or ``"piggyback"`` — see
-        :mod:`repro.net.clock_transport`.  Piggybacking zeroes the
-        detector's per-check control-message accounting (the clocks ride on
-        messages the application sends anyway, Algorithm 5's dedicated pair
-        disappears); switching back restores the previous figure (a custom
-        ``control_messages_per_check`` is preserved, not reset).  The
-        campaign runner's configure hook uses this to sweep the knob on an
-        already-built runtime.
-        """
-        validate_clock_transport(mode)
-        if self._ran:
-            raise RuntimeError("set_clock_transport() must be called before run()")
-        detector_config = self.config.detector
-        if mode == "piggyback":
-            if detector_config.control_messages_per_check != 0:
-                self._control_messages_before_piggyback = (
-                    detector_config.control_messages_per_check
-                )
-            detector_config.control_messages_per_check = 0
-        elif detector_config.control_messages_per_check == 0:
-            # Only undo what a previous switch to piggyback zeroed.
-            restored = self._control_messages_before_piggyback
-            detector_config.control_messages_per_check = (
-                restored if restored is not None else 2
+        moderation = config.cq_moderation = bool(config.cq_moderation)
+        epochs = config.detector_epochs
+        if epochs is None:
+            # REPRO_DETECTOR_EPOCHS is how CI runs a whole suite on the
+            # detector's slow path; else the DetectorConfig decides.
+            epochs = os.environ.get(
+                "REPRO_DETECTOR_EPOCHS", "on" if config.detector.epochs else "off"
             )
-        self.config.clock_transport = mode
-        self.config.nic.clock_transport = mode
-
-    def set_clock_wire(self, wire_format: str) -> None:
-        """Select the clock wire encoding (before :meth:`run`).
-
-        ``"full"``, ``"delta"`` or ``"truncated"`` — see
-        :mod:`repro.net.clock_transport`.  Purely a byte-accounting policy:
-        every format decodes to the exact clock, so switching it can never
-        change a verdict.  The campaign runner's configure hook uses this
-        to sweep the knob on an already-built runtime.
-        """
-        validate_clock_wire(wire_format)
-        if self._ran:
-            raise RuntimeError("set_clock_wire() must be called before run()")
-        self.config.clock_wire = wire_format
-        self.config.nic.clock_wire = wire_format
-
-    def set_detector_epochs(self, mode: str) -> None:
-        """Enable/disable the detector's epoch fast path (before :meth:`run`).
-
-        ``"on"`` or ``"off"`` — see ``RuntimeConfig.detector_epochs``.  The
-        fast path is an exact shortcut (verdicts and clock contents cannot
-        depend on it), so the knob exists for the differential harness and
-        the CI slow-path matrix leg, not for semantics.  The campaign
-        runner's configure hook uses this to sweep the knob on an
-        already-built runtime.
-        """
-        if mode not in ("on", "off"):
-            raise ValueError(
-                f"detector_epochs must be 'on' or 'off', got {mode!r}"
-            )
-        if self._ran:
-            raise RuntimeError("set_detector_epochs() must be called before run()")
-        self.config.detector_epochs = mode
-        # The detector shares this config object; no rebuild needed.
-        self.config.detector.epochs = mode == "on"
-
-    def set_cq_moderation(self, enabled: bool) -> None:
-        """Enable/disable completion coalescing (before :meth:`run`).
-
-        One CQE per queue-pair drain burst instead of one per completion —
-        see :class:`RuntimeConfig`.  The campaign runner's configure hook
-        uses this to sweep the knob on an already-built runtime.
-        """
-        if self._ran:
-            raise RuntimeError("set_cq_moderation() must be called before run()")
-        self.config.cq_moderation = bool(enabled)
+        if epochs not in ("on", "off"):
+            raise ValueError(f"detector_epochs must be 'on' or 'off', got {epochs!r}")
+        config.detector_epochs = epochs
+        self.config = config
+        # The detector shares this (private) DetectorConfig.
+        config.detector.epochs = epochs == "on"
+        config.detector.control_messages_per_check = (
+            0 if mode == "piggyback" else self._roundtrip_control_messages
+        )
+        for nic in self.nics:
+            nic.transport = transport
+            nic.clock_transport.configure(mode, wire, resync)
         for context in self.verbs_contexts:
-            context.cq_moderation = bool(enabled)
-
-    def set_cq_moderation_timer(self, value: Optional[Any]) -> None:
-        """Install ``(cq_count, cq_usec)`` CQ moderation (before :meth:`run`).
-
-        ``None`` removes the timer — see ``RuntimeConfig.cq_moderation_timer``
-        and :class:`~repro.verbs.completion_queue.CqModerationTimer`.  Pure
-        delivery-timing policy: every completion still reaches the CQ and
-        every retirement merges the same clock, so verdicts cannot depend on
-        it.  The campaign runner's configure hook uses this to sweep the
-        knob on an already-built runtime.
-        """
-        value = validate_cq_moderation_timer(value)
-        if self._ran:
-            raise RuntimeError(
-                "set_cq_moderation_timer() must be called before run()"
-            )
-        self.config.cq_moderation_timer = value
-        for context in self.verbs_contexts:
-            context.set_cq_moderation_timer(value)
-
-    def set_flow_control(self, mode: str) -> None:
-        """Select the two-sided admission protocol (before :meth:`run`).
-
-        ``"rnr"`` or ``"credit"`` — see ``RuntimeConfig.flow_control`` and
-        :mod:`repro.net.flow_control`.  Both protocols admit sends in the
-        same FIFO order, so verdicts are byte-identical; only the message
-        and retry accounting differ.  The campaign runner's configure hook
-        uses this to sweep the knob on an already-built runtime.
-        """
-        mode = validate_flow_control(mode)
-        if self._ran:
-            raise RuntimeError("set_flow_control() must be called before run()")
-        self.config.flow_control = mode
-        for context in self.verbs_contexts:
-            context.set_flow_control(mode)
-
-    def set_transport(self, mode: str) -> None:
-        """Select the data-message service level (before :meth:`run`).
-
-        ``"rc"`` or ``"ud"`` — see ``RuntimeConfig.transport`` and
-        :mod:`repro.net.ud_transport`.  The detector always stamps the
-        in-process carried clock, and a gapped or stale UD frame triggers a
-        charged receiver resync before the verdict, so switching the
-        service level can never change a verdict — only traffic, latency
-        and resync accounting.  The campaign runner's configure hook uses
-        this to sweep the knob on an already-built runtime.
-        """
-        mode = validate_transport(mode)
-        if self._ran:
-            raise RuntimeError("set_transport() must be called before run()")
-        self.config.transport = mode
-        self.config.nic.transport = mode
-
-    def set_clock_wire_resync(self, value: Union[int, str]) -> None:
-        """Set the sparse-wire resync cadence (before :meth:`run`).
-
-        A positive message count, or ``"adaptive"`` for the per-channel
-        self-tuning cadence — see ``RuntimeConfig.clock_wire_resync``.
-        Purely a byte-accounting policy (every frame decodes to the exact
-        clock), so switching it can never change a verdict.  The campaign
-        runner's configure hook uses this to sweep the knob on an
-        already-built runtime.
-        """
-        value = validate_clock_wire_resync(value)
-        if self._ran:
-            raise RuntimeError(
-                "set_clock_wire_resync() must be called before run()"
-            )
-        self.config.clock_wire_resync = value
-        self.config.nic.clock_wire_resync = value
+            context.configure(moderation, timer, flow_control)
 
     def clock_transport_stats(self) -> ClockTransportStats:
         """Whole-machine clock-transport accounting (summed over ranks)."""
@@ -696,8 +530,8 @@ class DSMRuntime:
 
     def set_program(self, rank: int, function: ProgramFunction, **kwargs: Any) -> None:
         """Register the program run by *rank*."""
-        if not (0 <= rank < self.config.world_size):
-            raise ValueError(f"rank {rank} outside world of size {self.config.world_size}")
+        if not (type(rank) is int and 0 <= rank < self.config.world_size):
+            require_rank(rank, self.config.world_size)
         self._programs[rank] = ProcessProgram(
             rank=rank, function=function, kwargs=tuple(kwargs.items())
         )
@@ -713,6 +547,8 @@ class DSMRuntime:
 
     def api(self, rank: int) -> ProcessAPI:
         """Return (creating if needed) the :class:`ProcessAPI` of *rank*."""
+        if not (type(rank) is int and 0 <= rank < self.config.world_size):
+            require_rank(rank, self.config.world_size)
         if rank not in self._apis:
             self._apis[rank] = ProcessAPI(
                 rank,
@@ -738,14 +574,7 @@ class DSMRuntime:
         self.recorder.set_run_info(
             world_size=self.config.world_size,
             seed=self.config.seed,
-            clock_transport=self.config.clock_transport,
-            clock_wire=self.config.clock_wire,
-            cq_moderation=self.config.cq_moderation,
-            detector_epochs=self.config.detector_epochs,
-            flow_control=self.config.flow_control,
-            cq_moderation_timer=self.config.cq_moderation_timer,
-            clock_wire_resync=self.config.clock_wire_resync,
-            transport=self.config.transport,
+            **{knob: getattr(self.config, knob) for knob in RUNTIME_KNOBS},
         )
         ranks_without_program = [
             rank for rank in range(self.config.world_size) if rank not in self._programs
@@ -796,15 +625,7 @@ class DSMRuntime:
             clock_storage_entries=clock_entries,
             final_shared_values=final_shared,
             per_rank_private=per_rank_private,
-            clock_transport=self.config.clock_transport,
             clock_transport_stats=clock_transport_totals,
-            clock_wire=self.config.clock_wire,
-            cq_moderation=self.config.cq_moderation,
-            cq_moderation_timer=self.config.cq_moderation_timer,
-            flow_control=self.config.flow_control,
-            clock_wire_resync=self.config.clock_wire_resync,
-            transport=self.config.transport,
-            detector_epochs=self.config.detector_epochs,
             metrics=self.sim.obs.metrics.snapshot(),
             detection_profile=self.sim.obs.profiler.snapshot(),
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.memory.address import GlobalAddress
-from repro.net.flow_control import credit_gate_for, validate_flow_control
+from repro.net.flow_control import credit_gate_for
 from repro.net.nic import NIC
 from repro.obs.observability import Observability
 from repro.sim.engine import Simulator
@@ -34,7 +34,6 @@ from repro.verbs.completion_queue import (
     CompletionQueue,
     CompletionQueueOverflow,
     CqModerationTimer,
-    validate_cq_moderation_timer,
 )
 from repro.verbs.event_channel import EventChannel
 from repro.verbs.memory_registration import (
@@ -54,6 +53,25 @@ from repro.verbs.work import Opcode, WorkCompletion, WorkRequest
 class VerbsContext:
     """One rank's handle on the asynchronous (one- and two-sided) subsystem."""
 
+    # The completion and admission knobs below are set by :meth:`configure`
+    # (``DSMRuntime.configure`` calls it from the ``RuntimeConfig`` fields of
+    # the same names) before any work is posted.
+
+    #: CQ moderation: when true, each queue pair's drain delivers the
+    #: completions of one burst together as a single CQE event (send CQ
+    #: only — receive completions are the peer's business), and the
+    #: batched retirement clock is charged once per burst instead of once
+    #: per completion.
+    cq_moderation: bool
+    #: Admission control for two-sided sends: ``"rnr"`` (the RC retry
+    #: protocol) or ``"credit"`` (claim a posted receive buffer before
+    #: transmitting; stall locally instead of retrying).
+    flow_control: str
+    #: The ``(cq_count, cq_usec)`` send-CQ moderator, or ``None`` when the
+    #: timer is off (created only when the knob is on, so the default path
+    #: carries zero extra footprint).
+    _cq_moderator: Optional[CqModerationTimer]
+
     def __init__(
         self,
         sim: Simulator,
@@ -64,16 +82,11 @@ class VerbsContext:
         rnr_backoff: float = 1.0,
         rnr_retry_limit: Optional[int] = None,
         backpressure: str = "raise",
-        cq_moderation: bool = False,
-        cq_moderation_timer=None,
-        flow_control: str = "rnr",
     ) -> None:
         if backpressure not in ("raise", "block"):
             raise ValueError(
                 f"backpressure must be 'raise' or 'block', got {backpressure!r}"
             )
-        validate_flow_control(flow_control)
-        cq_moderation_timer = validate_cq_moderation_timer(cq_moderation_timer)
         self.sim = sim
         self.nic = nic
         self.rank = nic.rank
@@ -89,25 +102,6 @@ class VerbsContext:
         #: ``"raise"`` (SendQueueFull at the post site) or ``"block"``
         #: (yield until a completion frees a slot).
         self.backpressure = backpressure
-        #: CQ moderation: when true, each queue pair's drain delivers the
-        #: completions of one burst together as a single CQE event (send CQ
-        #: only — receive completions are the peer's business), and the
-        #: batched retirement clock is charged once per burst instead of
-        #: once per completion.
-        self.cq_moderation = cq_moderation
-        #: Admission control for two-sided sends: ``"rnr"`` (the RC retry
-        #: protocol, the default) or ``"credit"`` (claim a posted receive
-        #: buffer before transmitting; stall locally instead of retrying).
-        self.flow_control = flow_control
-        #: ``(cq_count, cq_usec)`` send-CQ moderation; ``None`` disables the
-        #: timer (the moderator is created only when the knob is on, so the
-        #: default path carries zero extra footprint).
-        self.cq_moderation_timer = cq_moderation_timer
-        self._cq_moderator: Optional[CqModerationTimer] = (
-            CqModerationTimer(self, *cq_moderation_timer)
-            if cq_moderation_timer is not None
-            else None
-        )
         self._obs = Observability.of(sim)
         #: Trace track for this rank's process-side verbs activity.
         self.track = f"rank-P{self.rank}"
@@ -221,16 +215,14 @@ class VerbsContext:
         """The queue incoming SENDs from *source* consume posted buffers from."""
         return self.queue_pair(source).recv_queue
 
-    def set_flow_control(self, mode: str) -> None:
-        """Select the two-sided admission protocol (``"rnr"`` or ``"credit"``)."""
-        self.flow_control = validate_flow_control(mode)
-
-    def set_cq_moderation_timer(self, value) -> None:
-        """Install (or remove, with ``None``) ``(cq_count, cq_usec)`` moderation."""
-        value = validate_cq_moderation_timer(value)
-        self.cq_moderation_timer = value
+    def configure(self, cq_moderation: bool, cq_moderation_timer, flow_control: str) -> None:
+        """Set the (already validated) moderation and admission knobs."""
+        self.cq_moderation = cq_moderation
+        self.flow_control = flow_control
         self._cq_moderator = (
-            CqModerationTimer(self, *value) if value is not None else None
+            CqModerationTimer(self, *cq_moderation_timer)
+            if cq_moderation_timer is not None
+            else None
         )
 
     @property

@@ -24,11 +24,11 @@ Byte-for-byte means exactly that: digests are compared as
 a numpy scalar leaking into a payload fails just as loudly as a wrong
 verdict.
 
-The one hazard the harness is built around: ``RuntimeConfig.replace()`` is
-shallow, so runtimes derived from one config object *share* the
-``DetectorConfig`` instance that ``set_detector_epochs`` mutates.  Every
-helper therefore builds a fresh runtime per mode (``build(seed)``) and
-flips the knob on that runtime alone.
+Every helper builds a fresh runtime per mode (``build(seed)``) and flips
+the knob on that runtime alone through ``DSMRuntime.configure``.  A runtime
+resolves its knobs into private copies of its ``RuntimeConfig`` and
+``DetectorConfig``, so runtimes built from one shared config object cannot
+leak a mode into each other.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def run_in_mode(
 ) -> RunResult:
     """Build a fresh runtime, pin the epoch mode, run it."""
     runtime = build(seed)
-    runtime.set_detector_epochs(mode)
+    runtime.configure(detector_epochs=mode)
     return runtime.run()
 
 
@@ -172,7 +172,7 @@ def explore_in_mode(
         build,
         seed=seed,
         offline_detectors=offline_detectors,
-        configure=lambda runtime: runtime.set_detector_epochs(mode),
+        configure=lambda runtime: runtime.configure(detector_epochs=mode),
     )
     return explorer.explore_fuzzed(budget)
 

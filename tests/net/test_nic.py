@@ -11,6 +11,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.message import MessageKind
 from repro.net.nic import NIC, NICConfig
 from repro.net.topology import Topology
+from repro.runtime.runtime import RuntimeConfig
 from repro.sim.engine import Simulator
 from repro.trace.recorder import TraceRecorder
 
@@ -37,7 +38,12 @@ class Cluster:
             )
             for rank in range(world_size)
         ]
+        defaults = RuntimeConfig()
         for nic in self.nics:
+            nic.transport = defaults.transport
+            nic.clock_transport.configure(
+                defaults.clock_transport, defaults.clock_wire, defaults.clock_wire_resync
+            )
             for peer in self.nics:
                 if peer is not nic:
                     nic.register_peer(peer)

@@ -2,11 +2,15 @@
 
 The transport knob's contracts:
 
-* **Validation** — ``transport`` is ``"rc"`` or ``"ud"``; the runtime knob
-  follows the NIC config and conflicting explicit values are rejected.
+* **Validation** — ``transport`` is ``"rc"`` or ``"ud"``; the knob lives on
+  ``RuntimeConfig`` alone and reaches every NIC.
 * **Quiet-fabric equivalence** — UD under a fabric that drops nothing is
   byte-for-byte the RC execution: same verdicts, same final memory, same
-  elapsed sim-time, on the whole labelled pattern corpus.
+  elapsed sim-time, on the labelled pattern corpus — except where latency
+  jitter lands a datagram before an earlier lock or clock message of its
+  pair, which the RC run's one FIFO per pair would have held back.  Joining
+  the pair's RC and UD clamps removes exactly that overtake and restores
+  the RC execution on the whole corpus.
 * **Drop/retransmit** — a dropped datagram arms the retransmission timer
   and is re-sent with a fresh sequence number; the lost sequence is a
   permanent gap that exactly one receiver-driven resync repairs.
@@ -23,8 +27,10 @@ The transport knob's contracts:
 import pytest
 
 from repro.explore.controller import PassthroughStrategy, ScheduleController
+from repro.net.channel import Channel
 from repro.net.ud_transport import (
     TRANSPORT_MODES,
+    UdChannel,
     UdEndpoint,
     validate_transport,
 )
@@ -146,48 +152,94 @@ class TestValidation:
         with pytest.raises(ValueError, match="transport"):
             validate_transport(bad)
 
-    def test_runtime_knob_follows_the_nic_config(self):
+    def test_runtime_knob_defaults_to_rc(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=2))
         assert runtime.config.transport == "rc"
-        assert runtime.config.nic.transport == "rc"
+        assert all(nic.transport == "rc" for nic in runtime.nics)
 
     def test_runtime_knob_propagates_to_the_nic(self):
         runtime = DSMRuntime(RuntimeConfig(world_size=2, transport="ud"))
-        assert runtime.config.nic.transport == "ud"
         for nic in runtime.nics:
-            assert nic.config.transport == "ud"
-
-    def test_conflicting_explicit_values_are_rejected(self):
-        from repro.net.nic import NICConfig
-
-        with pytest.raises(ValueError, match="conflicting transports"):
-            DSMRuntime(
-                RuntimeConfig(
-                    world_size=2, transport="rc", nic=NICConfig(transport="ud")
-                )
-            )
+            assert nic.transport == "ud"
 
     def test_run_result_records_the_transport(self):
         result = sparse_wire_factory(transport="ud").run()
-        assert result.transport == "ud"
-        assert sparse_wire_factory(transport="rc").run().transport == "rc"
+        assert result.config.transport == "ud"
+        assert sparse_wire_factory(transport="rc").run().config.transport == "rc"
 
 
 # -- quiet-fabric equivalence --------------------------------------------------------
+
+
+#: A UD run that diverges from RC because a datagram overtook an earlier RC
+#: message (lock or clock traffic) of its pair; ``TestJoinedPairFifo`` shows
+#: that overtake is the whole cause.
+CROSS_CHANNEL_OVERTAKE = pytest.mark.xfail(
+    strict=True,
+    reason="a datagram overtakes an earlier lock/clock message of its pair "
+    "on the RC channel, which the RC run's single FIFO would have held back",
+)
+
+
+def corpus(diverging=()):
+    """The labelled corpus, with the *diverging* pattern names marked."""
+    return [
+        pytest.param(p, marks=CROSS_CHANNEL_OVERTAKE) if p.name in diverging else p
+        for p in pattern_corpus() + rmw_pattern_corpus()
+    ]
+
+
+class _AtLeast:
+    """A latency model whose draws are raised to *floor*."""
+
+    def __init__(self, model, floor):
+        self._model = model
+        self._floor = floor
+
+    def latency(self, message, hops=1):
+        return max(self._model.latency(message, hops=hops), self._floor)
+
+
+def join_pair_fifos(monkeypatch):
+    """Clamp every send of a pair, RC or UD, behind the pair's last delivery.
+
+    That is the RC run's ordering (all of a pair's traffic on one channel)
+    imposed on a UD run, whose datagrams otherwise ride a separate, unclamped
+    channel.  The model is still drawn exactly once per send, so the run's
+    random stream is untouched.
+    """
+    last = {}
+
+    def clamped(transmit):
+        def wrapper(channel, message):
+            key = (channel.source, channel.destination)
+            model = channel._latency_model
+            channel._latency_model = _AtLeast(
+                model, last.get(key, 0.0) - channel._sim.now
+            )
+            try:
+                event, stamped = transmit(channel, message)
+            finally:
+                channel._latency_model = model
+            last[key] = max(last.get(key, 0.0), stamped.deliver_time)
+            return event, stamped
+
+        return wrapper
+
+    monkeypatch.setattr(Channel, "transmit", clamped(Channel.transmit))
+    monkeypatch.setattr(UdChannel, "transmit", clamped(UdChannel.transmit))
 
 
 class TestQuietFabricEquivalence:
     """UD with nothing dropped/duplicated/reordered IS the RC execution."""
 
     @pytest.mark.parametrize(
-        "pattern",
-        pattern_corpus() + rmw_pattern_corpus(),
-        ids=lambda p: p.name,
+        "pattern", corpus(diverging={"stencil-no-barriers"}), ids=lambda p: p.name
     )
     def test_corpus_verdicts_and_timing_match_rc(self, pattern):
         rc = pattern.build(0)
         ud = pattern.build(0)
-        ud.set_transport("ud")
+        ud.configure(transport="ud")
         rc_result, ud_result = rc.run(), ud.run()
         assert verdict(ud_result) == verdict(rc_result)
         assert ud_result.elapsed_sim_time == rc_result.elapsed_sim_time
@@ -206,6 +258,33 @@ class TestQuietFabricEquivalence:
         runtime = sparse_wire_factory(transport="rc")
         runtime.run()
         assert runtime.clock_transport_stats().ud_datagrams == 0
+
+
+class TestJoinedPairFifo:
+    """With one FIFO per pair across both service levels, UD is RC exactly.
+
+    This isolates the divergences marked ``CROSS_CHANNEL_OVERTAKE`` (here
+    and in ``tests/detectors/test_ud_differential.py``): once no datagram
+    can land before an earlier RC message of its pair, every pattern's UD
+    run reproduces its RC run on both the full and the sparse clock wire.
+    """
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"clock_transport": "piggyback", "clock_wire": "delta"}],
+        ids=["full-wire", "sparse-wire"],
+    )
+    @pytest.mark.parametrize("pattern", corpus(), ids=lambda p: p.name)
+    def test_ud_reproduces_rc(self, pattern, knobs, monkeypatch):
+        rc = pattern.build(0)
+        rc.configure(**knobs)
+        rc_result = rc.run()
+        join_pair_fifos(monkeypatch)
+        ud = pattern.build(0)
+        ud.configure(transport="ud", **knobs)
+        ud_result = ud.run()
+        assert verdict(ud_result) == verdict(rc_result)
+        assert ud_result.elapsed_sim_time == rc_result.elapsed_sim_time
 
 
 # -- drop / retransmit / resync ------------------------------------------------------
